@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Regenerate perfbench/reference.json: the final test MSE that one episode of
-each workload reaches, for seeds 0..N-1.
+each workload reaches, for seeds 0..measure.REFERENCE_SEEDS-1.
 
-    python3 perfbench/make_reference.py --seeds 32
+    python3 perfbench/make_reference.py
 
-The benchmark checks each run against these values within `rtol`. Regenerate
-only when a change is meant to alter the numbers, and say so where the change
-is described.
+The benchmark checks each run against these values within measure.RTOL.
+Regenerate only when a change is meant to alter the numbers, and say so where
+the change is described.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -18,10 +17,6 @@ import run
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--seeds", type=int, default=32)
-    parser.add_argument("--rtol", type=float, default=1e-6)
-    args = parser.parse_args()
     run.limit_blas_threads()
     sys.path.insert(0, str(run.SRC))
     import measure
@@ -29,15 +24,14 @@ def main() -> int:
     table = {}
     for name, wl in measure.WORKLOADS.items():
         table[name] = {}
-        for seed in range(args.seeds):
+        for seed in range(measure.REFERENCE_SEEDS):
             ep = measure.run_episode(wl, seed)
             if ep.failure:
                 print(f"{name} seed {seed}: {ep.failure}", file=sys.stderr)
                 return 1
             table[name][str(seed)] = ep.final_test_mse
             print(f"{name} seed {seed}: {ep.final_test_mse!r}", flush=True)
-    payload = {"rtol": args.rtol, "final_test_mse": table}
-    measure.REFERENCE.write_text(json.dumps(payload, indent=1) + "\n")
+    measure.REFERENCE.write_text(json.dumps(table, indent=1) + "\n")
     return 0
 
 

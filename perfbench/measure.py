@@ -13,6 +13,7 @@ import os
 import platform
 import resource
 import statistics
+import subprocess
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -31,8 +32,10 @@ from workloads import END_TO_END, PER_LAYER, TRACED, WORKLOADS
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 RESULTS = BENCH_DIR / "results"
-REFERENCE = BENCH_DIR / "reference.json"
-MIN_EPISODES = 2  # untraced episodes per run, so determinism is checked and set-up is a median
+REFERENCE = BENCH_DIR / "reference.json"  # final test MSE per workload and seed
+REFERENCE_SEEDS = 32  # seeds 0..31 have a reference value
+RTOL = 1e-6  # relative tolerance of the final test MSE against its reference
+MIN_EPISODES = 2  # untraced episodes per run, so determinism is checked and set-up is repeated
 SIZED_RESULTS = ("graphs.build_shift", "graphs.metropolis_weights")
 
 
@@ -108,13 +111,13 @@ def check_episode(cfg: RunConfig, updates: int, ep: Episode) -> str | None:
     return None
 
 
-def load_reference() -> tuple[float, dict]:
-    ref = json.loads(REFERENCE.read_text())
-    return ref["rtol"], ref["final_test_mse"]
+def reference_mse(name: str, seed: int) -> float | None:
+    return json.loads(REFERENCE.read_text()).get(name, {}).get(str(seed))
 
 
-def run_checks(wl, seed: int, episodes: list[Episode]) -> list[str]:
-    """Run-level output checks; any failure marks every update of the run failed."""
+def run_checks(episodes: list[Episode], ref: float | None) -> list[str]:
+    """Run-level output checks; any failure marks every update of the run failed.
+    The reference check is skipped when `ref` is None."""
     problems = []
     base = [e.final_test_mse for e in episodes if not e.traced and e.failure is None]
     traced = [e.final_test_mse for e in episodes if e.traced and e.failure is None]
@@ -122,28 +125,17 @@ def run_checks(wl, seed: int, episodes: list[Episode]) -> list[str]:
         problems.append(f"untraced episodes disagree on final test MSE: {sorted(set(base))}")
     if base and any(v != base[0] for v in traced):
         problems.append(f"traced final test MSE {traced} differs from untraced {base[0]!r}")
-    rtol, refs = load_reference()
-    ref = refs.get(wl.name, {}).get(str(seed))
-    if base and ref is not None and not abs(base[0] - ref) <= rtol * abs(ref):
-        problems.append(f"final test MSE {base[0]!r} outside rtol {rtol} of reference {ref!r}")
+    if base and ref is not None and not abs(base[0] - ref) <= RTOL * abs(ref):
+        problems.append(f"final test MSE {base[0]!r} outside rtol {RTOL} of reference {ref!r}")
     return problems
 
 
 def git_sha() -> str | None:
-    git = ROOT / ".git"
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).exists():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
     except OSError:
-        pass
-    return None
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def manifest(wl, seed: int, seconds: int, trace: int) -> dict:
@@ -191,17 +183,18 @@ def end_to_end(wl, ok: list[Episode], peak_rss_mb: float) -> tuple[dict, dict]:
     between a fast and a slower state, for stretches of a fraction of a
     second up to tens of seconds, independently of the benchmark; the best
     short window measures the code, where whole-run medians mostly measure
-    how long the host spent in each state. Set-up time is the median over
-    episodes, each of which sets up once, of the time to the first update
-    callback, minus the run's median update interval. Peak RSS is read after
-    the first episode. The whole-run p90 is reported for information.
+    how long the host spent in each state. Set-up time is, in the same
+    best-case spirit, the shortest time from calling the trainer to its first
+    update callback over the episodes (each sets up once), minus the
+    best-window median interval. Peak RSS is read after the first episode.
+    The whole-run p90 is reported for information.
     """
     wins = windows(ok, wl.window)
     pooled = [x for e in ok for x in intervals(e)]
     p90 = statistics.quantiles(pooled, n=10)[-1]
     p50 = min(statistics.median(w) for w in wins)
     values = {
-        "setup_s": statistics.median(e.stamps[0] - e.call for e in ok) - p50,
+        "setup_s": min(e.stamps[0] - e.call for e in ok) - p50,
         "updates_per_s": best_updates_per_s(ok, wl.window),
         "update_ms_p50": p50 * 1e3,
         "peak_rss_mb": peak_rss_mb,
@@ -295,7 +288,8 @@ def run(name: str, seed: int, seconds: int, trace: int) -> dict:
             break
 
     episode_problems = [f"episode {i}: {e.failure}" for i, e in enumerate(episodes) if e.failure]
-    run_problems = run_checks(wl, seed, episodes)
+    ref = reference_mse(name, seed)
+    run_problems = run_checks(episodes, ref)
     problems = episode_problems + run_problems
     attempted = wl.updates * len(episodes)
     failed = attempted if run_problems else wl.updates * len(episode_problems)
@@ -309,6 +303,8 @@ def run(name: str, seed: int, seconds: int, trace: int) -> dict:
         "failed": failed,
         "update_fail_ratio": failed / attempted,
         "final_test_mse": base[0].final_test_mse if base else None,
+        "notes": [] if ref is not None else [
+            f"no reference for seed {seed}: final test MSE not checked against reference.json"],
         "metrics": {},
     }
     if not base or (trace and not traced):

@@ -50,6 +50,8 @@ def run_one(args) -> int:
     print(f"# {name} seed={args.seed} trace={args.trace} manifest: {json.dumps(record['manifest'])}")
     for problem in record["problems"]:
         print(f"# {name} CHECK FAILED: {problem}")
+    for note in record["notes"]:
+        print(f"# {name} {note}")
     print(f"{name} update_fail_ratio = {record['failed']}/{record['attempted']} = {record['update_fail_ratio']}")
     print(f"{name} final_test_mse = {record['final_test_mse']!r}")
     for key, value in record.get("info", {}).items():
