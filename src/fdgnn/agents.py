@@ -88,7 +88,6 @@ class AgentState:
         self.neighbor_degrees = dict(neighbor_degrees)
         self.degree = len(self.neighbor_ids) if degree is None else int(degree)
         self.grad_accum = np.zeros(params.dim)
-        self.opt_state = None
         self._slices = param_slices(params.specs)
         self._fwd: dict[int, dict] = {}
         self._bwd: dict[int, dict] = {}

@@ -124,32 +124,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     result.log.to_csv(out / "metrics.csv")
     save_params(result.theta_star, out / "checkpoint.json")
     final = result.log.final
-    if result.ledger is not None:
-        rows = [
-            {
-                "strategy": cfg.strategy,
-                "L": cfg.layers,
-                "B": cfg.batch,
-                "K": cfg.K,
-                "rounds": result.ledger.rounds,
-                "broadcasts": result.ledger.broadcasts,
-                "scalars": result.ledger.scalars,
-            }
-        ]
-        if cfg.track_trace:
-            write_trace_csv(out / "trace.csv", result.ledger)
-    else:
-        rows = [
-            {
-                "strategy": "centralized",
-                "L": cfg.layers,
-                "B": cfg.batch,
-                "K": cfg.K,
-                "rounds": final.rounds,
-                "broadcasts": 0,
-                "scalars": 0,
-            }
-        ]
+    rounds, broadcasts, scalars = final.ledger_snapshot
+    rows = [
+        {
+            "strategy": cfg.strategy if result.ledger is not None else "centralized",
+            "L": cfg.layers,
+            "B": cfg.batch,
+            "K": cfg.K,
+            "rounds": rounds,
+            "broadcasts": broadcasts,
+            "scalars": scalars,
+        }
+    ]
+    if cfg.track_trace and result.ledger is not None:
+        write_trace_csv(out / "trace.csv", result.ledger)
     write_ledger_csv(out / "ledger.csv", rows)
     print(
         f"{cfg.optimizer} on {cfg.graph} n={cfg.n}: "

@@ -80,20 +80,26 @@ def draw_features(plan, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
+def draw_samples(teacher, shift, spec: DatasetSpec, count: int, rng: np.random.Generator) -> list[Sample]:
+    """Draw `count` samples of (features, teacher output + noise) on one topology."""
+    n = shift.S.shape[0]
+    sigma = np.sqrt(spec.noise_var)
+    samples = []
+    for _ in range(count):
+        X = draw_features(spec.feature_plan, n, rng)
+        clean, _ = forward(teacher, shift, X)
+        y = clean + rng.normal(0.0, sigma, n) if sigma > 0 else clean
+        samples.append(Sample(X=X, y=y))
+    return samples
+
+
 def make_dataset(graph: Graph, spec: DatasetSpec, shift_variant: str = "normalized-adjacency"):
     """Draw one teacher, then n_samples of (features, teacher output + noise)."""
     rng = np.random.default_rng(spec.seed)
     teacher_seed = int(rng.integers(2**31))
     teacher = init_params(spec.teacher_specs, scheme="normal", seed=teacher_seed)
     shift = build_shift(graph, shift_variant)
-    sigma = np.sqrt(spec.noise_var)
-    samples = []
-    for _ in range(spec.n_samples):
-        X = draw_features(spec.feature_plan, graph.n, rng)
-        clean, _ = forward(teacher, shift, X)
-        y = clean + rng.normal(0.0, sigma, graph.n) if sigma > 0 else clean
-        samples.append(Sample(X=X, y=y))
-    return samples, teacher
+    return draw_samples(teacher, shift, spec, spec.n_samples, rng), teacher
 
 
 def train_test_split(samples, fraction: float, seed: int):

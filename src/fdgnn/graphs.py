@@ -59,7 +59,7 @@ class Graph:
         return np.array([len(a) for a in self._adj], dtype=np.int64)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in set(self.edges)
+        return 0 <= i < self.n and j in self._adj[i]
 
     def is_connected(self) -> bool:
         if self.n == 1:

@@ -29,7 +29,6 @@ import numpy as np
 
 from .agents import (
     AgentState,
-    BwdAdjoint,
     ConsensusChunk,
     Degree,
     FwdFeature,
@@ -258,14 +257,22 @@ class CommLedger:
                     RoundTrace(offset + tr.index, tr.kinds, tr.per_node_scalars)
                 )
 
+    def add_plan(self, n_nodes: int, cost: PlanCost) -> None:
+        """Bill every round of a plan: O(1), or one add_round per round when tracing."""
+        if self.trace_enabled:
+            for items, size in zip(cost.plan.schedule, cost.sizes):
+                self.add_round(n_nodes, size, tuple(p.kind for p in items))
+            return
+        self.rounds += cost.plan.rounds
+        self.broadcasts += n_nodes * cost.plan.rounds
+        self.scalars += n_nodes * cost.scalars
+
     def snapshot(self) -> tuple[int, int, int]:
         return (self.rounds, self.broadcasts, self.scalars)
 
 
 def _payload_scalars(p: Payload, widths, dim, chunks) -> int:
-    if p.kind == "fwd":
-        return widths[p.layer - 1]
-    if p.kind == "adjoint":
+    if p.kind in ("fwd", "adjoint"):
         return widths[p.layer - 1]
     if p.kind == "chunk":
         return chunks[p.chunk]
@@ -274,11 +281,31 @@ def _payload_scalars(p: Payload, widths, dim, chunks) -> int:
     return dim  # grad-consensus
 
 
-class Network:
-    """Simulation state shared across mini-batches: topology, weights, agents.
+@dataclass(frozen=True)
+class PlanCost:
+    """An audited plan with the per-node scalars broadcast in each round."""
 
-    The agents' parameter copies are the authoritative optimization state;
-    stacked views are materialized per mini-batch.
+    plan: RoundPlan
+    sizes: tuple[int, ...]
+    scalars: int  # sum(sizes)
+
+    @classmethod
+    def of(cls, plan: RoundPlan, widths, dim: int) -> PlanCost:
+        audit_causality(plan)
+        chunks = chunk_sizes(dim, plan.L * plan.B) if plan.strategy == "piggyback-do" else None
+        sizes = tuple(
+            sum(_payload_scalars(p, widths, dim, chunks) for p in items) for items in plan.schedule
+        )
+        return cls(plan, sizes, sum(sizes))
+
+
+class Network:
+    """Simulation state shared across mini-batches: topology, weights, parameters.
+
+    `theta`, one (n, dim) row of flat parameters per node, is the only copy of
+    the optimization state. The message-level agents of the "agents" engine
+    are built from the topology on first use and dropped when it changes;
+    round plans are built and audited once per (strategy, batch size).
     """
 
     def __init__(self, graph, shift, weights, params0: ParamSet, opt_cfg, track_trace=False):
@@ -288,12 +315,14 @@ class Network:
         self.specs = params0.specs
         self.dim = params0.dim
         self.widths = [self.specs[0].g_in] + [s.g_out for s in self.specs]
-        self.agents = make_agents(graph, shift, params0)
+        self.theta = np.tile(params0.flatten(), (graph.n, 1))
         cfg = opt_cfg if isinstance(opt_cfg, OptimizerConfig) else OptimizerConfig(**opt_cfg)
         self.optimizer = DistOptimizer(cfg, graph.n, self.dim)
         self.ledger = CommLedger(trace_enabled=track_trace)
         self.track_trace = track_trace
         self.t = 0
+        self._agents: list[AgentState] | None = None
+        self._plans: dict[tuple[str, int], PlanCost] = {}
 
     @property
     def n(self) -> int:
@@ -303,27 +332,41 @@ class Network:
         """Swap the edge set under a fixed node set, keeping every node's state."""
         if graph.n != self.graph.n:
             raise ValueError("topology redraw must keep the node set")
-        rows = self.thetas()
         self.graph = graph
         self.shift = shift
         self.weights = weights
-        self.agents = make_agents(graph, shift, ParamSet.from_flat(self.specs, rows[0]))
-        for agent, row in zip(self.agents, rows):
-            agent.params = ParamSet.from_flat(self.specs, row)
+        self._agents = None
+
+    @property
+    def agents(self) -> list[AgentState]:
+        """The message-level agents of the current topology, built on first use."""
+        if self._agents is None:
+            params = ParamSet.from_flat(self.specs, self.theta[0])
+            self._agents = make_agents(self.graph, self.shift, params)
+        return self._agents
+
+    def plan_cost(self, strategy: str, B: int) -> PlanCost:
+        """The audited plan of a B-sample mini-batch, built on first use."""
+        key = (strategy, B)
+        if key not in self._plans:
+            plan = build_round_plan(len(self.specs), B, self.optimizer.cfg.K, strategy)
+            self._plans[key] = PlanCost.of(plan, self.widths, self.dim)
+        return self._plans[key]
 
     def thetas(self) -> np.ndarray:
-        return np.stack([a.params.flatten() for a in self.agents])
+        return self.theta.copy()
 
     def set_thetas(self, arr: np.ndarray) -> None:
-        for agent, row in zip(self.agents, arr):
-            agent.params = ParamSet.from_flat(self.specs, row)
+        arr = np.array(arr, dtype=np.float64)
+        if arr.shape != self.theta.shape:
+            raise ValueError(f"parameters must be {self.theta.shape}, got {arr.shape}")
+        self.theta = arr
 
     def mean_params(self) -> ParamSet:
-        return ParamSet.from_flat(self.specs, self.thetas().mean(axis=0))
+        return ParamSet.from_flat(self.specs, self.theta.mean(axis=0))
 
     def consensus_gap(self) -> float:
-        th = self.thetas()
-        diff = th - th.mean(axis=0)
+        diff = self.theta - self.theta.mean(axis=0)
         return float(np.max(np.linalg.norm(diff, axis=1)))
 
 
@@ -350,13 +393,14 @@ def check_pairing(strategy: str, kind: str) -> None:
             )
 
 
-def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="agents", plan=None) -> MinibatchResult:
+def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="stacked", plan=None) -> MinibatchResult:
     """Execute one mini-batch: schedule, gradients, optimizer update, ledger.
 
-    `engine` selects message-level execution ("agents") or the vectorized
-    equivalent ("stacked"); both produce the same schedule accounting and
-    agree numerically. After the call every agent's grad_accum holds its
-    batch-summed local gradient.
+    `engine` selects the vectorized kernel ("stacked", the default) or
+    message-level execution ("agents"); both agree numerically and bill the
+    same cached plan cost. The update replaces `net.theta`; the result holds
+    the per-node batch-summed gradients. A custom `plan` is audited before
+    it runs.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -374,33 +418,32 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="ag
                 f"sample shapes must be ({n}, {g0}) and ({n},), "
                 f"got {np.shape(s.X)} and {np.shape(s.y)}"
             )
-    L = len(net.specs)
     if plan is None:
-        plan = build_round_plan(L, B, cfg.K, strategy)
-    elif (plan.strategy, plan.L, plan.B) != (strategy, L, B):
+        cost = net.plan_cost(strategy, B)
+    elif (plan.strategy, plan.L, plan.B) != (strategy, len(net.specs), B):
         raise ValueError("custom plan does not match the requested mini-batch")
-    audit_causality(plan)
+    else:
+        cost = PlanCost.of(plan, net.widths, net.dim)
     if alpha_t is None:
         alpha_t = cfg.alpha * cfg.decay**net.t
 
-    thetas = net.thetas()
+    thetas = net.theta
     if strategy == "fwd-only":
         psi = thetas
     else:
         psi = net.optimizer.mix(thetas, net.weights.W)
 
-    if engine == "agents":
-        grads, psg, yhat, delta, proto = _execute_agents(net, plan, samples, psi)
-    else:
-        grads, psg, yhat, delta, proto = _execute_stacked(net, plan, samples, psi)
+    execute = _execute_agents if engine == "agents" else _execute_stacked
+    grads, psg, yhat, proto = execute(net, cost.plan, samples, psi)
 
     if strategy != "fwd-only":
         naive_mode = "per-sample" if strategy == "naive-per-sample" else "per-batch"
-        new_thetas = net.optimizer.apply(
+        net.theta = net.optimizer.apply(
             thetas, psi, net.weights.W, grads, alpha_t,
             per_sample_grads=psg, naive_mode=naive_mode,
         )
-        net.set_thetas(new_thetas)
+    delta = CommLedger(trace_enabled=net.track_trace)
+    delta.add_plan(n, cost)
     net.ledger.absorb(delta)
     net.t += 1
     y_all = np.stack([np.asarray(s.y, dtype=np.float64) for s in samples])
@@ -420,7 +463,6 @@ def _execute_agents(net, plan, samples, psi):
         agent.reset_accumulator()
     chunks = chunk_sizes(dim, L * B) if strategy == "piggyback-do" else None
     chunk_offsets = np.concatenate(([0], np.cumsum(chunks))) if chunks else None
-    ledger = CommLedger(trace_enabled=net.track_trace)
     yhat = np.zeros((B, n))
     held_fwd: dict[tuple[int, int], list] = {}
     held_adj: dict[tuple[int, int], list] = {}
@@ -440,9 +482,7 @@ def _execute_agents(net, plan, samples, psi):
 
     for r, items in enumerate(plan.schedule, 1):
         outgoing: dict[Payload, list] = {}
-        per_node_scalars = 0
         for p in items:
-            per_node_scalars += _payload_scalars(p, net.widths, dim, chunks)
             if p.kind == "fwd":
                 b, l = p.sample, p.layer
                 if l == 1:
@@ -470,7 +510,6 @@ def _execute_agents(net, plan, samples, psi):
                 outgoing[p] = [
                     ConsensusChunk(0, cons_values[key][i].copy()) for i in range(n)
                 ]
-        ledger.add_round(n, per_node_scalars, tuple(p.kind for p in items))
 
         # Delivery barrier: everything broadcast this round is now visible to
         # the sender's neighbors, and each consumer step runs on it.
@@ -525,37 +564,23 @@ def _execute_agents(net, plan, samples, psi):
     if per_sample:
         proto_result = proto_accum
     grads = np.stack([a.grad_accum.copy() for a in agents])
-    return grads, psg, yhat, ledger, proto_result
+    return grads, psg, yhat, proto_result
 
 
 def _execute_stacked(net, plan, samples, psi):
-    """Vectorized execution: same arithmetic and accounting, no message objects."""
-    n, dim, specs = net.n, net.dim, net.specs
-    strategy = plan.strategy
+    """Vectorized execution: the agents' arithmetic without message objects."""
+    specs, S = net.specs, net.shift.S
     X = np.stack([np.asarray(s.X, dtype=np.float64) for s in samples])
     Y = np.stack([np.asarray(s.y, dtype=np.float64) for s in samples])
     th0, th1 = stack_flat_params(specs, psi)
-    per_sample = strategy == "naive-per-sample"
-    if strategy == "fwd-only":
-        res = stacked_gradients(specs, th0, th1, net.shift.S, X, None, forward_only=True)
-        grads = np.zeros((n, dim))
-        psg = None
-    else:
-        res = stacked_gradients(specs, th0, th1, net.shift.S, X, Y, per_sample=per_sample)
-        if per_sample:
-            psg = res.grads
-            grads = psg.sum(axis=0)
-        else:
-            psg = None
-            grads = res.grads
-    for i, agent in enumerate(net.agents):
-        agent.grad_accum = grads[i].copy()
-    chunks = chunk_sizes(dim, plan.L * plan.B) if strategy == "piggyback-do" else None
-    ledger = CommLedger(trace_enabled=net.track_trace)
-    for items in plan.schedule:
-        size = sum(_payload_scalars(p, net.widths, dim, chunks) for p in items)
-        ledger.add_round(n, size, tuple(p.kind for p in items))
-    return grads, psg, res.yhat, ledger, None
+    if plan.strategy == "fwd-only":
+        res = stacked_gradients(specs, th0, th1, S, X, None, forward_only=True)
+        return np.zeros((net.n, net.dim)), None, res.yhat, None
+    per_sample = plan.strategy == "naive-per-sample"
+    res = stacked_gradients(specs, th0, th1, S, X, Y, per_sample=per_sample)
+    if per_sample:
+        return res.grads.sum(axis=0), res.grads, res.yhat, None
+    return res.grads, None, res.yhat, None
 
 
 def ledger_report(entries) -> list[dict]:

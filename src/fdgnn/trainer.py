@@ -1,31 +1,28 @@
-"""End-to-end training loops: distributed protocol runs and the centralized baseline.
+"""End-to-end training: distributed protocol runs and the centralized baseline.
 
-Both loops log per-minibatch metrics against a cumulative message-passing
-round axis. Distributed strategies charge their full schedule; the
-centralized baseline charges the L*B forward-pass rounds per batch so the
-axes are comparable.
+Both trainers share one loop and log per-minibatch metrics against a
+cumulative message-passing round axis. Distributed strategies charge their
+full schedule; the centralized baseline charges the L*B forward-pass rounds
+per batch so the axes are comparable. The distributed state is the
+Network's (n, dim) parameter array.
 
 Gradient scaling convention: a node's batch gradient is the plain sum of its
 per-sample local gradients, and the 1/n averaging across nodes happens
-through consensus. The centralized baseline therefore steps on the sum over
-the batch of per-sample mean-squared-error gradients, making learning rates
-directly comparable between the two loops.
+through consensus. The centralized baseline steps on the node mean of the
+same stacked kernel's gradients with every node holding the shared weights:
+the sum over the batch of per-sample mean-squared-error gradients, which
+makes learning rates directly comparable between the two.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .datagen import (
-    DatasetSpec,
-    Sample,
-    default_teacher_specs,
-    draw_features,
-    make_dataset,
-)
-from .gcnn import LayerSpec, ParamSet, central_gradient, forward, init_params, mse_loss
+from .agents import stack_flat_params, stacked_gradients
+from .datagen import DatasetSpec, default_teacher_specs, draw_samples, make_dataset
+from .gcnn import LayerSpec, ParamSet, forward, init_params, mse_loss
 from .graphs import (
     Graph,
     build_shift,
@@ -34,14 +31,8 @@ from .graphs import (
     load_edge_list,
     metropolis_weights,
 )
-from .netsim import Network, run_minibatch
-from .optim import (
-    DO_KINDS,
-    CentralOptimizer,
-    OptimizerConfig,
-    OPTIMIZER_KINDS,
-)
-from .netsim import STRATEGIES, check_pairing
+from .netsim import STRATEGIES, Network, check_pairing, run_minibatch
+from .optim import CentralOptimizer, OptimizerConfig, OPTIMIZER_KINDS
 
 GRAPH_KINDS = ("ba", "er", "file")
 TOPOLOGY_MODES = ("fixed", "redraw-per-batch")
@@ -219,14 +210,46 @@ def _redraw(config: RunConfig, teacher, dspec, redraw_rng):
     """Fresh topology and batch for dynamic-topology training."""
     graph = _build_graph(config, int(redraw_rng.integers(2**31)))
     shift = build_shift(graph, config.shift)
-    sigma = np.sqrt(dspec.noise_var)
-    batch = []
-    for _ in range(config.batch):
-        X = draw_features(dspec.feature_plan, graph.n, redraw_rng)
-        clean, _ = forward(teacher, shift, X)
-        noise = redraw_rng.normal(0.0, sigma, graph.n) if sigma > 0 else 0.0
-        batch.append(Sample(X=X, y=clean + noise))
-    return graph, shift, batch
+    return (graph, shift), draw_samples(teacher, shift, dspec, config.batch, redraw_rng)
+
+
+def _train(config: RunConfig, setup, step, average, progress, on_update) -> MetricsLog:
+    """The loop both trainers share: epochs, topology redraw, divergence
+    check, periodic evaluation, metrics log and the `on_update` callback.
+
+    step(batch, topology, alpha_t) runs one update, where topology is the
+    redrawn (graph, shift) or None, and returns (train_mse, state handed to
+    on_update); average() gives the parameters to evaluate; progress(t)
+    gives (consensus_gap, ledger_snapshot) after update t.
+    """
+    _, shift, dspec, teacher, train, test, _, params0, redraw_seed = setup
+    redraw_rng = np.random.default_rng(redraw_seed)
+    log = MetricsLog()
+    batches = config.n_train // config.batch
+    total = config.epochs * batches
+    test_mse = evaluate_mse(params0, shift, test)
+    last_good = params0
+    t = 0
+    for _ in range(config.epochs):
+        for bi in range(batches):
+            if config.topology_mode == "redraw-per-batch":
+                topology, batch = _redraw(config, teacher, dspec, redraw_rng)
+            else:
+                topology, batch = None, train[bi * config.batch : (bi + 1) * config.batch]
+            train_mse, state = step(batch, topology, config.alpha * config.decay**t)
+            t += 1
+            if not np.isfinite(train_mse):
+                raise TrainingDiverged(
+                    f"non-finite training loss at update {t}", t, last_good
+                )
+            if t % config.eval_every == 0 or t == total:
+                last_good = average()
+                test_mse = evaluate_mse(last_good, shift, test)
+            gap, snapshot = progress(t)
+            log.records.append(MetricsRecord(t, snapshot[0], train_mse, test_mse, gap, snapshot))
+            if on_update is not None:
+                on_update(t, state)
+    return log
 
 
 def train_distributed(config: RunConfig, on_update=None) -> TrainResult:
@@ -234,111 +257,61 @@ def train_distributed(config: RunConfig, on_update=None) -> TrainResult:
 
     Returns the per-node parameter copies, their average, and the metrics
     log. Test evaluation uses the node-average parameters in a dense forward
-    pass; it is instrumentation, not part of the protocol.
+    pass; it is instrumentation, not part of the protocol. on_update(t, net)
+    receives the Network.
     """
     if config.optimizer in ("central-sgd", "central-adam"):
         raise ValueError("use train_centralized for the centralized kinds")
-    graph, shift, dspec, teacher, train, test, specs, params0, redraw_seed = _setup(config)
-    weights = metropolis_weights(graph)
+    setup = _setup(config)
+    graph, shift, _, _, _, _, specs, params0, _ = setup
     net = Network(
-        graph, shift, weights, params0, config.optimizer_config(),
+        graph, shift, metropolis_weights(graph), params0, config.optimizer_config(),
         track_trace=config.track_trace,
     )
-    eval_shift = shift
-    redraw_rng = np.random.default_rng(redraw_seed)
-    log = MetricsLog()
-    batches = config.n_train // config.batch
-    total = config.epochs * batches
-    test_mse = evaluate_mse(params0, eval_shift, test)
-    last_good = params0
-    t = 0
-    for _ in range(config.epochs):
-        for bi in range(batches):
-            if config.topology_mode == "redraw-per-batch":
-                new_graph, new_shift, batch = _redraw(config, teacher, dspec, redraw_rng)
-                net.set_topology(new_graph, new_shift, metropolis_weights(new_graph))
-            else:
-                batch = train[bi * config.batch : (bi + 1) * config.batch]
-            alpha_t = config.alpha * config.decay**t
-            result = run_minibatch(
-                net, batch, config.strategy, alpha_t=alpha_t, engine=config.engine
-            )
-            t += 1
-            if not np.isfinite(result.train_mse):
-                raise TrainingDiverged(
-                    f"non-finite training loss at update {t}", t, last_good
-                )
-            if t % config.eval_every == 0 or t == total:
-                theta_bar = net.mean_params()
-                test_mse = evaluate_mse(theta_bar, eval_shift, test)
-                last_good = theta_bar
-            log.records.append(
-                MetricsRecord(
-                    t,
-                    net.ledger.rounds,
-                    result.train_mse,
-                    test_mse,
-                    net.consensus_gap(),
-                    net.ledger.snapshot(),
-                )
-            )
-            if on_update is not None:
-                on_update(t, net)
-    return TrainResult(
-        [a.params.copy() for a in net.agents], net.mean_params(), log, net.ledger
-    )
+
+    def step(batch, topology, alpha_t):
+        if topology is not None:
+            net.set_topology(*topology, metropolis_weights(topology[0]))
+        result = run_minibatch(net, batch, config.strategy, alpha_t=alpha_t, engine=config.engine)
+        return result.train_mse, net
+
+    def progress(t):
+        return net.consensus_gap(), net.ledger.snapshot()
+
+    log = _train(config, setup, step, net.mean_params, progress, on_update)
+    node_params = [ParamSet.from_flat(specs, row) for row in net.theta]
+    return TrainResult(node_params, net.mean_params(), log, net.ledger)
 
 
 def train_centralized(config: RunConfig, on_update=None) -> TrainResult:
     """Mini-batch baseline on a single shared parameter vector.
 
-    The round axis charges L*B forward-pass rounds per mini-batch.
+    The gradient is the stacked kernel's node mean with every node holding
+    the same weights. The round axis charges L*B forward-pass rounds per
+    mini-batch. on_update(t, theta) receives the flat parameter vector.
     """
     if config.optimizer not in ("central-sgd", "central-adam"):
         raise ValueError("use train_distributed for the distributed kinds")
-    graph, shift, dspec, teacher, train, test, specs, params0, redraw_seed = _setup(config)
+    setup = _setup(config)
+    graph, shift, _, _, _, _, specs, params0, _ = setup
+    opt = CentralOptimizer(config.optimizer_config(), params0.dim)
     theta = params0.flatten()
-    opt = CentralOptimizer(config.optimizer_config(), theta.size)
-    eval_shift = shift
-    redraw_rng = np.random.default_rng(redraw_seed)
-    log = MetricsLog()
-    batches = config.n_train // config.batch
-    total = config.epochs * batches
-    rounds = 0
-    rounds_per_batch = config.layers * config.batch
-    test_mse = evaluate_mse(params0, eval_shift, test)
-    last_good = params0
-    t = 0
-    for _ in range(config.epochs):
-        for bi in range(batches):
-            if config.topology_mode == "redraw-per-batch":
-                graph, shift, batch = _redraw(config, teacher, dspec, redraw_rng)
-            else:
-                batch = train[bi * config.batch : (bi + 1) * config.batch]
-            params = ParamSet.from_flat(specs, theta)
-            grad = np.zeros_like(theta)
-            batch_mse = 0.0
-            for s in batch:
-                yhat, _ = forward(params, shift, s.X)
-                batch_mse += mse_loss(s.y, yhat)
-                grad += central_gradient(params, shift, s.X, s.y)
-            batch_mse /= len(batch)
-            alpha_t = config.alpha * config.decay**t
-            theta = opt.step(theta, grad, alpha_t)
-            t += 1
-            rounds += rounds_per_batch
-            if not np.isfinite(batch_mse):
-                raise TrainingDiverged(
-                    f"non-finite training loss at update {t}", t, last_good
-                )
-            if t % config.eval_every == 0 or t == total:
-                cur = ParamSet.from_flat(specs, theta)
-                test_mse = evaluate_mse(cur, eval_shift, test)
-                last_good = cur
-            log.records.append(
-                MetricsRecord(t, rounds, batch_mse, test_mse, 0.0, (rounds, 0, 0))
-            )
-            if on_update is not None:
-                on_update(t, theta)
+    S = shift.S
+
+    def step(batch, topology, alpha_t):
+        nonlocal theta, S
+        if topology is not None:
+            S = topology[1].S
+        X = np.stack([s.X for s in batch])
+        Y = np.stack([s.y for s in batch])
+        th0, th1 = stack_flat_params(specs, np.broadcast_to(theta, (graph.n, theta.size)))
+        res = stacked_gradients(specs, th0, th1, S, X, Y)
+        theta = opt.step(theta, res.grads.sum(axis=0) / graph.n, alpha_t)
+        return float(np.mean((res.yhat - Y) ** 2)), theta
+
+    def progress(t):
+        return 0.0, (t * config.layers * config.batch, 0, 0)
+
+    log = _train(config, setup, step, lambda: ParamSet.from_flat(specs, theta), progress, on_update)
     final = ParamSet.from_flat(specs, theta)
     return TrainResult([final], final, log)
