@@ -28,6 +28,7 @@ from .gcnn import (
     ParamSet,
     activation_derivative,
     apply_activation,
+    num_params,
     param_slices,
 )
 from .graphs import Graph, ShiftOperator, metropolis_row
@@ -312,7 +313,7 @@ def stacked_gradients(
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (B, n):
         raise ValueError(f"labels must be ({B}, {n}), got {y.shape}")
-    dim = sum(2 * s.g_in * s.g_out for s in specs)
+    dim = num_params(specs)
     slices = param_slices(specs)
     grads = np.zeros((B, n, dim)) if per_sample else np.zeros((n, dim))
     s_diag = np.diag(S).copy()

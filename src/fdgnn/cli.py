@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .agents import stack_flat_params, stacked_gradients
-from .gcnn import LayerSpec, ParamSet, central_gradient, forward, init_params, mse_loss, save_params
+from .gcnn import ParamSet, central_gradient, forward, init_params, mse_loss, save_params
 from .graphs import build_shift, generate_er
 from .netsim import cost_table, write_ledger_csv, write_trace_csv
+from .optim import CENTRAL_KINDS
 from .trainer import (
     RunConfig,
     TrainingDiverged,
@@ -106,7 +107,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _run_one(cfg: RunConfig):
-    if cfg.optimizer in ("central-sgd", "central-adam"):
+    if cfg.optimizer in CENTRAL_KINDS:
         return train_centralized(cfg)
     return train_distributed(cfg)
 
@@ -222,12 +223,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     graph = generate_er(args.n, 0.6, args.seed)
     shift = build_shift(graph, "normalized-adjacency")
-    widths = [args.g0] + [args.hidden] * (args.layers - 1) + [1]
-    specs = tuple(
-        LayerSpec(widths[k], widths[k + 1],
-                  "identity" if k == args.layers - 1 else "leaky-relu")
-        for k in range(args.layers)
-    )
+    specs = RunConfig(layers=args.layers, hidden=args.hidden).model_specs(args.g0)
     params = init_params(specs, "glorot", args.seed + 1)
     X = rng.normal(size=(graph.n, args.g0))
     y = rng.normal(size=graph.n)

@@ -16,6 +16,9 @@ backward pass in L-1 trailing rounds. piggyback-do additionally spreads each
 node's flat parameter vector (plus its degree, once) over the batch's L*B
 forward rounds in near-equal chunks.
 
+`delivery` is the one table of what each payload means: the key it delivers
+and the keys it needs delivered first. `audit_causality` checks plans against
+it, and the message-level engine keeps its in-flight values under its keys.
 Strategies only change scheduling and accounting; the applied update for a
 given optimizer is identical across them.
 """
@@ -117,14 +120,12 @@ def build_round_plan(L: int, B: int, K: int, strategy: str) -> RoundPlan:
     if strategy in _CONSENSUS_STRATEGIES and K < 1:
         raise ValueError(f"strategy {strategy!r} needs K >= 1 consensus rounds")
     sched: list[tuple[Payload, ...]] = []
-    if strategy == "fwd-only":
+    if strategy in ("fwd-only", "naive-per-sample", "per-batch-consensus"):
         for b in range(1, B + 1):
             for l in range(1, L + 1):
                 sched.append((Payload("fwd", sample=b, layer=l),))
-    elif strategy in ("naive-per-sample", "per-batch-consensus"):
-        for b in range(1, B + 1):
-            for l in range(1, L + 1):
-                sched.append((Payload("fwd", sample=b, layer=l),))
+            if strategy == "fwd-only":
+                continue
             for l in range(L, 1, -1):
                 sched.append((Payload("adjoint", sample=b, layer=l),))
             if strategy == "naive-per-sample":
@@ -157,69 +158,79 @@ def build_round_plan(L: int, B: int, K: int, strategy: str) -> RoundPlan:
     return plan
 
 
-def audit_causality(plan: RoundPlan) -> None:
-    """Structural check: every consumed payload was produced in an earlier round.
+UPDATE = Payload("update")  # the optimizer step after a plan's last round
 
-    A forward broadcast for layer l needs the previous forward round of the
-    same sample delivered; an adjoint for layer l needs the sample's last
-    forward round (l = L) or the layer-(l+1) adjoint round; a gradient
-    consensus round needs the relevant backward passes finished and the
-    previous consensus round, if any.
+
+def delivery(p: Payload, plan: RoundPlan) -> tuple[tuple, tuple | None, tuple]:
+    """What payload p means in `plan`: (key, source, needs).
+
+    `key` is what p's round delivers and `needs` the keys that must be
+    delivered in an earlier round. `source`, the first of `needs` or None, is
+    the delivery whose results p broadcasts; None means fresh local values.
+    Samples run their forward passes one at a time and in order, one backward
+    pass is in flight at a time, and the pseudo-payload UPDATE consumes every
+    sample's finished backward pass (and, in piggyback-do, every parameter
+    chunk and the degree) or the K-th consensus round.
     """
-    L, B = plan.L, plan.B
-    fwd_round: dict[tuple[int, int], int] = {}
-    adj_round: dict[tuple[int, int], int] = {}
-    cons_round: dict[tuple[int | None, int], int] = {}
+    L, B, K, b = plan.L, plan.B, plan.K, p.sample
 
-    def backward_done(b: int) -> int | None:
-        if L >= 2:
-            return adj_round.get((b, 2))
-        return fwd_round.get((b, L))
+    def done(s: int) -> tuple:  # the delivery that finishes sample s's backward pass
+        return ("fwd", s, L) if L == 1 or plan.strategy == "fwd-only" else ("adjoint", s, 2)
 
-    for r, items in enumerate(plan.schedule, 1):
+    source, after = None, ()
+    if p.kind == "fwd":
+        key = ("fwd", b, p.layer)
+        if p.layer >= 2:
+            source = ("fwd", b, p.layer - 1)
+        elif b >= 2:
+            after = (("fwd", b - 1, L),)
+        if p.layer == L and b >= 2:
+            after += (done(b - 1),)
+    elif p.kind == "adjoint":
+        key = ("adjoint", b, p.layer)
+        source = ("fwd", b, L) if p.layer == L else ("adjoint", b, p.layer + 1)
+    elif p.kind == "grad-consensus":
+        key = ("grad-consensus", b, p.k)
+        if p.k >= 2:
+            source = ("grad-consensus", b, p.k - 1)
+        else:
+            after = tuple(done(s) for s in ((b,) if b else range(1, B + 1)))
+    elif p.kind == "update":
+        key = ("update", None)
+        if plan.strategy == "naive-per-sample":
+            after = tuple(("grad-consensus", s, K) for s in range(1, B + 1))
+        elif plan.strategy in _CONSENSUS_STRATEGIES:
+            after = (("grad-consensus", None, K),)
+        else:
+            after = tuple(done(s) for s in range(1, B + 1))
+            if plan.strategy == "piggyback-do":
+                after += tuple(("chunk", c) for c in range(L * B)) + (("degree", None),)
+    elif p.kind in ("chunk", "degree"):
+        key = (p.kind, p.chunk)
+    else:
+        raise CausalityError(f"unknown payload kind {p.kind!r}")
+    return key, source, ((source,) if source else ()) + after
+
+
+def audit_causality(plan: RoundPlan) -> None:
+    """Check a plan against `delivery`: every key is delivered once, after
+    everything it needs, and is needed by a later round or by the update.
+    """
+    delivered: dict[tuple, int] = {}
+    consumed: set[tuple] = set()
+    for r, items in enumerate(plan.schedule + ((UPDATE,),), 1):
         for p in items:
-            if p.kind == "fwd":
-                key = (p.sample, p.layer)
-                if key in fwd_round:
-                    raise CausalityError(f"duplicate forward broadcast {key}")
-                if p.layer >= 2:
-                    prev = fwd_round.get((p.sample, p.layer - 1))
-                    if prev is None or prev >= r:
-                        raise CausalityError(
-                            f"round {r}: forward {key} before its layer-{p.layer - 1} inputs"
-                        )
-                fwd_round[key] = r
-            elif p.kind == "adjoint":
-                key = (p.sample, p.layer)
-                if key in adj_round:
-                    raise CausalityError(f"duplicate adjoint broadcast {key}")
-                if p.layer == L:
-                    need = fwd_round.get((p.sample, L))
-                else:
-                    need = adj_round.get((p.sample, p.layer + 1))
-                if need is None or need >= r:
-                    raise CausalityError(
-                        f"round {r}: adjoint {key} before its prerequisites"
-                    )
-                adj_round[key] = r
-            elif p.kind == "grad-consensus":
-                if p.sample is None:
-                    samples = range(1, B + 1)
-                else:
-                    samples = (p.sample,)
-                for b in samples:
-                    done = backward_done(b)
-                    if done is None or done >= r:
-                        raise CausalityError(
-                            f"round {r}: gradient consensus before sample {b} finished"
-                        )
-                if p.k >= 2:
-                    prev = cons_round.get((p.sample, p.k - 1))
-                    if prev is None or prev >= r:
-                        raise CausalityError(
-                            f"round {r}: consensus round {p.k} before round {p.k - 1}"
-                        )
-                cons_round[(p.sample, p.k)] = r
+            key, _, needs = delivery(p, plan)
+            if key in delivered:
+                raise CausalityError(f"round {r}: duplicate {key}")
+            for need in needs:
+                if delivered.get(need, r) >= r:
+                    raise CausalityError(f"round {r}: {key} before {need}")
+            consumed.update(needs)
+            delivered[key] = r
+    unused = [key for key in delivered if key not in consumed and key != ("update", None)]
+    if unused:
+        raise CausalityError(f"{unused[0]} is delivered but never consumed")
 
 
 @dataclass(frozen=True)
@@ -245,17 +256,6 @@ class CommLedger:
         self.scalars += n_nodes * per_node_scalars
         if self.trace_enabled:
             self.trace.append(RoundTrace(self.rounds, tuple(kinds), per_node_scalars))
-
-    def absorb(self, other: "CommLedger") -> None:
-        offset = self.rounds
-        self.rounds += other.rounds
-        self.broadcasts += other.broadcasts
-        self.scalars += other.scalars
-        if self.trace_enabled:
-            for tr in other.trace:
-                self.trace.append(
-                    RoundTrace(offset + tr.index, tr.kinds, tr.per_node_scalars)
-                )
 
     def add_plan(self, n_nodes: int, cost: PlanCost) -> None:
         """Bill every round of a plan: O(1), or one add_round per round when tracing."""
@@ -319,7 +319,6 @@ class Network:
         cfg = opt_cfg if isinstance(opt_cfg, OptimizerConfig) else OptimizerConfig(**opt_cfg)
         self.optimizer = DistOptimizer(cfg, graph.n, self.dim)
         self.ledger = CommLedger(trace_enabled=track_trace)
-        self.track_trace = track_trace
         self.t = 0
         self._agents: list[AgentState] | None = None
         self._plans: dict[tuple[str, int], PlanCost] = {}
@@ -442,9 +441,9 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
             thetas, psi, net.weights.W, grads, alpha_t,
             per_sample_grads=psg, naive_mode=naive_mode,
         )
-    delta = CommLedger(trace_enabled=net.track_trace)
-    delta.add_plan(n, cost)
-    net.ledger.absorb(delta)
+    delta = CommLedger(trace_enabled=net.ledger.trace_enabled)
+    for ledger in (net.ledger, delta):
+        ledger.add_plan(n, cost)
     net.t += 1
     y_all = np.stack([np.asarray(s.y, dtype=np.float64) for s in samples])
     train_mse = float(np.mean((yhat - y_all) ** 2))
@@ -452,119 +451,84 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
 
 
 def _execute_agents(net, plan, samples, psi):
-    """Drive the agents through the plan round by round with real messages."""
-    graph, agents, specs = net.graph, net.agents, net.specs
-    n, L, B, dim = net.n, plan.L, plan.B, net.dim
-    strategy = plan.strategy
+    """Drive the agents through the plan round by round with real messages.
+
+    `inflight` holds what a delivery produced for a later round to relay,
+    under the delivered key that `delivery` names as that round's source.
+    """
+    agents, specs = net.agents, net.specs
+    n, L, dim = net.n, plan.L, net.dim
     X = [np.asarray(s.X, dtype=np.float64) for s in samples]
     Y = [np.asarray(s.y, dtype=np.float64) for s in samples]
+    th0, th1 = stack_flat_params(specs, psi)
     for i, agent in enumerate(agents):
-        agent.params = ParamSet.from_flat(specs, psi[i])
+        agent.params = ParamSet(specs, [t[i] for t in th0], [t[i] for t in th1])
         agent.reset_accumulator()
-    chunks = chunk_sizes(dim, L * B) if strategy == "piggyback-do" else None
-    chunk_offsets = np.concatenate(([0], np.cumsum(chunks))) if chunks else None
-    yhat = np.zeros((B, n))
-    held_fwd: dict[tuple[int, int], list] = {}
-    held_adj: dict[tuple[int, int], list] = {}
-    per_sample = strategy == "naive-per-sample"
-    psg = np.zeros((B, n, dim)) if per_sample else None
-    cons_values: dict[int | None, np.ndarray] = {}
+    sizes = chunk_sizes(dim, L * plan.B)
+    yhat = np.zeros((plan.B, n))
+    per_sample = plan.strategy == "naive-per-sample"
+    psg = np.zeros((plan.B, n, dim)) if per_sample else None
     w_rows = [a.w_row() for a in agents]
-    proto_result: np.ndarray | None = None
-    proto_accum = np.zeros((n, dim)) if per_sample else None
-
-    def finish_sample(b):
-        if per_sample:
-            for i, agent in enumerate(agents):
-                psg[b - 1, i] = local_gradient(agent)
-
-    neighbor_ids = [graph.neighbors(i) for i in range(n)]
+    inflight: dict[tuple, object] = {}
 
     for r, items in enumerate(plan.schedule, 1):
-        outgoing: dict[Payload, list] = {}
+        outgoing = []
         for p in items:
-            if p.kind == "fwd":
-                b, l = p.sample, p.layer
-                if l == 1:
-                    for i, agent in enumerate(agents):
-                        agent.begin_sample(b, X[b - 1][i])
-                    values = [FwdFeature(0, X[b - 1][i].copy()) for i in range(n)]
-                else:
-                    values = held_fwd.pop((b, l - 1))
-                outgoing[p] = values
-            elif p.kind == "adjoint":
-                outgoing[p] = held_adj.pop((p.sample, p.layer))
+            key, source, _ = delivery(p, plan)
+            held = inflight.pop(source) if source else None
+            if p.kind == "fwd" and held is None:
+                for i, agent in enumerate(agents):
+                    agent.begin_sample(p.sample, X[p.sample - 1][i])
+                held = [FwdFeature(0, x.copy()) for x in X[p.sample - 1]]
             elif p.kind == "chunk":
-                lo = int(chunk_offsets[p.chunk])
-                hi = int(chunk_offsets[p.chunk + 1])
-                outgoing[p] = [ConsensusChunk(lo, psi[i, lo:hi].copy()) for i in range(n)]
+                lo = sum(sizes[:p.chunk])
+                held = [ConsensusChunk(lo, row[lo:lo + sizes[p.chunk]].copy()) for row in psi]
             elif p.kind == "degree":
-                outgoing[p] = [Degree(graph.degree(i)) for i in range(n)]
-            else:  # grad-consensus
-                key = p.sample
-                if p.k == 1:
-                    if key is None:
-                        cons_values[key] = np.stack([a.grad_accum.copy() for a in agents])
-                    else:
-                        cons_values[key] = psg[key - 1].copy()
-                outgoing[p] = [
-                    ConsensusChunk(0, cons_values[key][i].copy()) for i in range(n)
-                ]
+                held = [Degree(a.degree) for a in agents]
+            elif p.kind == "grad-consensus":
+                if held is None:
+                    held = psg[p.sample - 1] if p.sample else np.stack([a.grad_accum for a in agents])
+                held = [ConsensusChunk(0, row.copy()) for row in held]
+            outgoing.append((p, key, held))
 
         # Delivery barrier: everything broadcast this round is now visible to
         # the sender's neighbors, and each consumer step runs on it.
-        for p in items:
-            values = outgoing[p]
-            if p.kind == "fwd":
-                b, l = p.sample, p.layer
-                results = []
+        for p, key, values in outgoing:
+            if p.kind == "grad-consensus":
+                nxt = np.empty((n, dim))
                 for i, agent in enumerate(agents):
-                    inbox = [Message(j, r, values[j]) for j in neighbor_ids[i]]
-                    results.append(local_forward_layer(agent, l, inbox))
-                if l < L:
-                    held_fwd[(b, l)] = results
-                else:
-                    for i, agent in enumerate(agents):
-                        yhat[b - 1, i] = results[i]
-                    if strategy == "fwd-only":
-                        continue
-                    for i, agent in enumerate(agents):
-                        local_backward_init(agent, Y[b - 1][i], results[i])
-                    first = [local_backward_layer(a, L, []) for a in agents]
-                    if L >= 2:
-                        held_adj[(b, L)] = first
-                    else:
-                        finish_sample(b)
-            elif p.kind == "adjoint":
-                b, l = p.sample, p.layer
-                results = []
-                for i, agent in enumerate(agents):
-                    inbox = [Message(j, r, values[j]) for j in neighbor_ids[i]]
-                    results.append(local_backward_layer(agent, l - 1, inbox))
-                if l - 1 >= 2:
-                    held_adj[(b, l - 1)] = results
-                else:
-                    finish_sample(b)
-            elif p.kind == "grad-consensus":
-                key = p.sample
-                cur = cons_values[key]
-                nxt = np.empty_like(cur)
-                for i in range(n):
                     row = w_rows[i]
-                    acc = row[i] * cur[i]
-                    for j in neighbor_ids[i]:
-                        acc = acc + row[j] * cur[j]
+                    acc = row[i] * values[i].values
+                    for j in agent.neighbor_ids:
+                        acc = acc + row[j] * values[j].values
                     nxt[i] = acc
-                cons_values[key] = nxt
-                if p.k == plan.K:
-                    if key is None:
-                        proto_result = nxt
-                    else:
-                        proto_accum += nxt
-    if per_sample:
-        proto_result = proto_accum
+                inflight[key] = nxt
+            if p.kind not in ("fwd", "adjoint"):
+                continue  # chunks and degrees are billed and audited; the mix reads psi
+            b = p.sample
+            inboxes = [[Message(j, r, values[j]) for j in a.neighbor_ids] for a in agents]
+            if p.kind == "adjoint":
+                results = [local_backward_layer(a, p.layer - 1, box) for a, box in zip(agents, inboxes)]
+            else:
+                results = [local_forward_layer(a, p.layer, box) for a, box in zip(agents, inboxes)]
+                if p.layer < L:
+                    inflight[key] = results
+                    continue
+                yhat[b - 1] = results
+                if plan.strategy == "fwd-only":
+                    continue
+                for i, agent in enumerate(agents):
+                    local_backward_init(agent, Y[b - 1][i], results[i])
+                results = [local_backward_layer(a, L, []) for a in agents]
+            if results[0] is not None:
+                inflight[key] = results
+            elif per_sample:  # sample b's backward pass is finished
+                psg[b - 1] = [local_gradient(a) for a in agents]
+    proto = None
+    if plan.strategy in _CONSENSUS_STRATEGIES:
+        proto = sum(inflight[k] for k in delivery(UPDATE, plan)[2])
     grads = np.stack([a.grad_accum.copy() for a in agents])
-    return grads, psg, yhat, proto_result
+    return grads, psg, yhat, proto
 
 
 def _execute_stacked(net, plan, samples, psi):

@@ -20,14 +20,9 @@ import numpy as np
 
 from .graphs import ConsensusWeights
 
-OPTIMIZER_KINDS = (
-    "central-sgd",
-    "central-adam",
-    "d-naive",
-    "d-sgd",
-    "d-adam",
-    "d-amsgrad",
-)
+CENTRAL_KINDS = ("central-sgd", "central-adam")
+DIST_KINDS = ("d-naive", "d-sgd", "d-adam", "d-amsgrad")
+OPTIMIZER_KINDS = CENTRAL_KINDS + DIST_KINDS
 DO_KINDS = ("d-sgd", "d-adam", "d-amsgrad")
 NAIVE_MODES = ("per-sample", "per-batch")
 
@@ -98,6 +93,16 @@ def run_consensus(values: np.ndarray, W, rounds: int) -> np.ndarray:
     return out
 
 
+def _adam_step(moments: MomentState, grads, cfg, alpha) -> np.ndarray:
+    """Advance the moments by one step and return the bias-corrected Adam step."""
+    moments.t += 1
+    moments.m = cfg.beta1 * moments.m + (1.0 - cfg.beta1) * grads
+    moments.v = cfg.beta2 * moments.v + (1.0 - cfg.beta2) * grads**2
+    m_hat = moments.m / (1.0 - cfg.beta1**moments.t)
+    v_hat = moments.v / (1.0 - cfg.beta2**moments.t)
+    return alpha * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+
 def dsgd_update(thetas, W, alpha_t, batch_grads, premixed=None):
     """Mix the parameter rows, subtract the per-node summed batch gradient."""
     psi = consensus_round(thetas, W) if premixed is None else premixed
@@ -111,12 +116,7 @@ def dadam_update(thetas, moments: MomentState, W, alpha_t, batch_grads, cfg, pre
     local gradients differ.
     """
     psi = consensus_round(thetas, W) if premixed is None else premixed
-    moments.t += 1
-    moments.m = cfg.beta1 * moments.m + (1.0 - cfg.beta1) * batch_grads
-    moments.v = cfg.beta2 * moments.v + (1.0 - cfg.beta2) * batch_grads**2
-    m_hat = moments.m / (1.0 - cfg.beta1**moments.t)
-    v_hat = moments.v / (1.0 - cfg.beta2**moments.t)
-    return psi - alpha_t * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    return psi - _adam_step(moments, batch_grads, cfg, alpha_t)
 
 
 def damsgrad_update(thetas, moments: MomentState, W, alpha_t, batch_grads, cfg, premixed=None):
@@ -179,19 +179,14 @@ def central_update(theta, grad, cfg: OptimizerConfig, moments: MomentState | Non
         raise ValueError(f"{cfg.kind!r} is not a centralized kind")
     if moments is None:
         raise ValueError("adam needs a MomentState")
-    moments.t += 1
-    moments.m = cfg.beta1 * moments.m + (1.0 - cfg.beta1) * grad
-    moments.v = cfg.beta2 * moments.v + (1.0 - cfg.beta2) * grad**2
-    m_hat = moments.m / (1.0 - cfg.beta1**moments.t)
-    v_hat = moments.v / (1.0 - cfg.beta2**moments.t)
-    return theta - alpha * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    return theta - _adam_step(moments, grad, cfg, alpha)
 
 
 class CentralOptimizer:
     """Stateful wrapper for the centralized baseline kinds."""
 
     def __init__(self, cfg: OptimizerConfig, dim: int):
-        if cfg.kind not in ("central-sgd", "central-adam"):
+        if cfg.kind not in CENTRAL_KINDS:
             raise ValueError(f"{cfg.kind!r} is not a centralized kind")
         self.cfg = cfg
         self.moments = MomentState.zeros(dim) if cfg.kind == "central-adam" else None
@@ -209,7 +204,7 @@ class DistOptimizer:
     """
 
     def __init__(self, cfg: OptimizerConfig, n: int, dim: int):
-        if cfg.kind not in ("d-naive", "d-sgd", "d-adam", "d-amsgrad"):
+        if cfg.kind not in DIST_KINDS:
             raise ValueError(f"{cfg.kind!r} is not a distributed kind")
         self.cfg = cfg
         self.n = n

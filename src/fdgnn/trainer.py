@@ -31,8 +31,8 @@ from .graphs import (
     load_edge_list,
     metropolis_weights,
 )
-from .netsim import STRATEGIES, Network, check_pairing, run_minibatch
-from .optim import CentralOptimizer, OptimizerConfig, OPTIMIZER_KINDS
+from .netsim import STRATEGIES, Network, check_pairing, expected_rounds, run_minibatch
+from .optim import CENTRAL_KINDS, DIST_KINDS, CentralOptimizer, OptimizerConfig, OPTIMIZER_KINDS
 
 GRAPH_KINDS = ("ba", "er", "file")
 TOPOLOGY_MODES = ("fixed", "redraw-per-batch")
@@ -92,7 +92,7 @@ class RunConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "fwd-only":
             raise ValueError("fwd-only is an accounting baseline, not a training strategy")
-        if self.optimizer not in ("central-sgd", "central-adam"):
+        if self.optimizer in DIST_KINDS:
             check_pairing(self.strategy, self.optimizer)
         if self.layers < 1:
             raise ValueError("need at least one layer")
@@ -157,7 +157,7 @@ class MetricsLog:
 
 @dataclass
 class TrainResult:
-    node_params: list
+    node_params: np.ndarray  # (n, dim) per-node flat parameters; one row when centralized
     theta_star: ParamSet
     log: MetricsLog
     ledger: object | None = None
@@ -255,15 +255,15 @@ def _train(config: RunConfig, setup, step, average, progress, on_update) -> Metr
 def train_distributed(config: RunConfig, on_update=None) -> TrainResult:
     """Run the full synchronous-round protocol for `epochs` passes.
 
-    Returns the per-node parameter copies, their average, and the metrics
-    log. Test evaluation uses the node-average parameters in a dense forward
-    pass; it is instrumentation, not part of the protocol. on_update(t, net)
-    receives the Network.
+    Returns the (n, dim) per-node parameter array, its node average, and the
+    metrics log. Test evaluation uses the node-average parameters in a dense
+    forward pass; it is instrumentation, not part of the protocol.
+    on_update(t, net) receives the Network.
     """
-    if config.optimizer in ("central-sgd", "central-adam"):
+    if config.optimizer in CENTRAL_KINDS:
         raise ValueError("use train_centralized for the centralized kinds")
     setup = _setup(config)
-    graph, shift, _, _, _, _, specs, params0, _ = setup
+    graph, shift, _, _, _, _, _, params0, _ = setup
     net = Network(
         graph, shift, metropolis_weights(graph), params0, config.optimizer_config(),
         track_trace=config.track_trace,
@@ -279,8 +279,7 @@ def train_distributed(config: RunConfig, on_update=None) -> TrainResult:
         return net.consensus_gap(), net.ledger.snapshot()
 
     log = _train(config, setup, step, net.mean_params, progress, on_update)
-    node_params = [ParamSet.from_flat(specs, row) for row in net.theta]
-    return TrainResult(node_params, net.mean_params(), log, net.ledger)
+    return TrainResult(net.theta, net.mean_params(), log, net.ledger)
 
 
 def train_centralized(config: RunConfig, on_update=None) -> TrainResult:
@@ -290,7 +289,7 @@ def train_centralized(config: RunConfig, on_update=None) -> TrainResult:
     the same weights. The round axis charges L*B forward-pass rounds per
     mini-batch. on_update(t, theta) receives the flat parameter vector.
     """
-    if config.optimizer not in ("central-sgd", "central-adam"):
+    if config.optimizer not in CENTRAL_KINDS:
         raise ValueError("use train_distributed for the distributed kinds")
     setup = _setup(config)
     graph, shift, _, _, _, _, specs, params0, _ = setup
@@ -309,9 +308,10 @@ def train_centralized(config: RunConfig, on_update=None) -> TrainResult:
         theta = opt.step(theta, res.grads.sum(axis=0) / graph.n, alpha_t)
         return float(np.mean((res.yhat - Y) ** 2)), theta
 
+    per_batch = expected_rounds("fwd-only", config.layers, config.batch, config.K)
+
     def progress(t):
-        return 0.0, (t * config.layers * config.batch, 0, 0)
+        return 0.0, (t * per_batch, 0, 0)
 
     log = _train(config, setup, step, lambda: ParamSet.from_flat(specs, theta), progress, on_update)
-    final = ParamSet.from_flat(specs, theta)
-    return TrainResult([final], final, log)
+    return TrainResult(theta[None, :], ParamSet.from_flat(specs, theta), log)
