@@ -145,7 +145,7 @@ def _gather(state, inbox, payload_type, tag_layer, width):
     return got
 
 
-def local_forward_layer(state: AgentState, l: int, inbox, s_row=None):
+def local_forward_layer(state: AgentState, l: int, inbox):
     """Apply layer l from the node's own row plus received neighbor rows.
 
     Returns the new feature row to broadcast, or the scalar prediction after
@@ -160,7 +160,7 @@ def local_forward_layer(state: AgentState, l: int, inbox, s_row=None):
     fw = state._fwd[sample]
     if len(fw["x"]) != l:
         raise ProtocolError(f"forward layer {l} out of order")
-    row = s_row if s_row is not None else state.shift_row
+    row = state.shift_row
     spec = state.params.specs[l - 1]
     x_prev = fw["x"][l - 1]
     features = _gather(state, inbox, FwdFeature, l - 1, spec.g_in)
@@ -255,15 +255,16 @@ def local_gradient(state: AgentState) -> np.ndarray:
 
 
 def make_agents(graph: Graph, shift: ShiftOperator, params: ParamSet) -> list[AgentState]:
-    """One agent per node, each with its own parameter copy and shift row."""
+    """One agent per node, each with its own shift row and its own parameter
+    copy: weight views of its row of one (n, dim) array."""
     S = shift.S
+    th0, th1 = stack_flat_params(params.specs, np.tile(params.flatten(), (graph.n, 1)))
     agents = []
     for i in range(graph.n):
-        row = {i: float(S[i, i])}
-        for j in graph.neighbors(i):
-            row[j] = float(S[i, j])
+        row = {j: float(S[i, j]) for j in (i, *graph.neighbors(i))}
         nbr_deg = {j: graph.degree(j) for j in graph.neighbors(i)}
-        agents.append(AgentState(i, params.copy(), row, nbr_deg, graph.degree(i)))
+        own = ParamSet(params.specs, [t[i] for t in th0], [t[i] for t in th1])
+        agents.append(AgentState(i, own, row, nbr_deg, graph.degree(i)))
     return agents
 
 

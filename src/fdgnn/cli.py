@@ -19,9 +19,10 @@ import numpy as np
 from .agents import stack_flat_params, stacked_gradients
 from .gcnn import ParamSet, central_gradient, forward, init_params, mse_loss, save_params
 from .graphs import build_shift, generate_er
-from .netsim import cost_table, write_ledger_csv, write_trace_csv
+from .netsim import ENGINES, cost_table, write_ledger_csv, write_trace_csv
 from .optim import CENTRAL_KINDS
 from .trainer import (
+    GRAPH_KINDS,
     RunConfig,
     TrainingDiverged,
     train_centralized,
@@ -49,7 +50,7 @@ class ConfigError(ValueError):
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--graph", choices=("ba", "er", "file"))
+    parser.add_argument("--graph", choices=GRAPH_KINDS)
     parser.add_argument("--graph-file", dest="graph_file")
     parser.add_argument("--n", type=int)
     parser.add_argument("--m", type=int)
@@ -71,7 +72,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval-every", dest="eval_every", type=int)
     parser.add_argument("--seed", type=int)
     parser.add_argument("--topology-mode", dest="topology_mode")
-    parser.add_argument("--engine", choices=("agents", "stacked"))
+    parser.add_argument("--engine", choices=ENGINES)
     parser.add_argument("--trace", action="store_true", default=None,
                         help="also export the per-round message-size trace")
     parser.add_argument("--out", default="out", help="output directory")

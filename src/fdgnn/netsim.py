@@ -1,32 +1,21 @@
 """Synchronous round scheduler and communication-cost ledger.
 
 A mini-batch runs as a fixed schedule of barrier-synchronized broadcast
-rounds. Five scheduling strategies are supported; their total round counts
-for an L-layer model, batch size B and K gradient-consensus rounds are
-
-    fwd-only              L*B
-    naive-per-sample      B*(2L-1) + B*K
-    per-batch-consensus   2*B*L - B + K
-    piggyback-consensus   L*B + L - 1 + K
-    piggyback-do          L*B + L - 1
-
-The piggyback schedules attach the backward adjoint broadcast of sample b-1
-for layer L-l+1 to forward round l of sample b, and finish the last sample's
-backward pass in L-1 trailing rounds. piggyback-do additionally spreads each
-node's flat parameter vector (plus its degree, once) over the batch's L*B
-forward rounds in near-equal chunks.
-
-`delivery` is the one table of what each payload means: the key it delivers
-and the keys it needs delivered first. `audit_causality` checks plans against
-it, and the message-level engine keeps its in-flight values under its keys.
-Strategies only change scheduling and accounting; the applied update for a
-given optimizer is identical across them.
+rounds. `STRATEGY` holds the traits of the five scheduling strategies, their
+closed-form round counts included; the plan builder, `delivery` and
+`run_minibatch` read them. `delivery` is the one table of what each payload
+means: the key it delivers and the keys it needs delivered first.
+`audit_causality` checks plans against it, and the message-level engine
+keeps its in-flight values under its keys. Strategies only change scheduling
+and accounting; the applied update for a given optimizer is identical across
+them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -48,27 +37,50 @@ from .gcnn import LayerSpec, ParamSet, num_params
 from .graphs import ConsensusWeights, Graph, ShiftOperator, build_shift, metropolis_weights
 from .optim import DO_KINDS, DistOptimizer, OptimizerConfig
 
-STRATEGIES = (
-    "fwd-only",
-    "naive-per-sample",
-    "per-batch-consensus",
-    "piggyback-consensus",
-    "piggyback-do",
-)
-
-ROUND_FORMULAS = {
-    "fwd-only": lambda L, B, K: L * B,
-    "naive-per-sample": lambda L, B, K: B * (2 * L - 1) + B * K,
-    "per-batch-consensus": lambda L, B, K: 2 * B * L - B + K,
-    "piggyback-consensus": lambda L, B, K: L * B + L - 1 + K,
-    "piggyback-do": lambda L, B, K: L * B + L - 1,
-}
-
-_CONSENSUS_STRATEGIES = ("naive-per-sample", "per-batch-consensus", "piggyback-consensus")
+ENGINES = ("agents", "stacked")
 
 
 class CausalityError(RuntimeError):
     """A round plan consumes a payload before its producer round."""
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """The traits of one scheduling strategy.
+
+    `rounds(L, B, K)` is the closed-form round count. `kinds` are the
+    optimizers it trains; none means an accounting baseline with no backward
+    pass and no update. `consensus` is how d-naive averages gradients over K
+    rounds: None, "per-sample" (after each sample's backward pass) or
+    "per-batch" (once, after the batch). A `pipelined` strategy sends sample
+    b-1's adjoint for layer L-l+1 in forward round l of sample b and finishes
+    the last sample's backward pass in L-1 trailing rounds. A `chunked` one
+    spreads each node's flat parameter vector over the batch's L*B forward
+    rounds in near-equal chunks, plus its degree once.
+    """
+
+    rounds: Callable[[int, int, int], int]
+    kinds: tuple[str, ...] = ()
+    consensus: str | None = None
+    pipelined: bool = False
+    chunked: bool = False
+
+
+STRATEGY = {
+    "fwd-only": Strategy(lambda L, B, K: L * B),
+    "naive-per-sample": Strategy(lambda L, B, K: B * (2 * L - 1) + B * K, ("d-naive",), "per-sample"),
+    "per-batch-consensus": Strategy(lambda L, B, K: 2 * B * L - B + K, ("d-naive",), "per-batch"),
+    "piggyback-consensus": Strategy(lambda L, B, K: L * B + L - 1 + K, ("d-naive",), "per-batch", pipelined=True),
+    "piggyback-do": Strategy(lambda L, B, K: L * B + L - 1, DO_KINDS, pipelined=True, chunked=True),
+}
+STRATEGIES = tuple(STRATEGY)
+
+
+def strategy_of(name: str, error=ValueError) -> Strategy:
+    """The traits of strategy `name`; raises `error` for an unknown name."""
+    if name not in STRATEGY:
+        raise error(f"unknown strategy {name!r}")
+    return STRATEGY[name]
 
 
 @dataclass(frozen=True)
@@ -102,7 +114,7 @@ class RoundPlan:
 
 
 def expected_rounds(strategy: str, L: int, B: int, K: int) -> int:
-    return ROUND_FORMULAS[strategy](L, B, K)
+    return strategy_of(strategy).rounds(L, B, K)
 
 
 def chunk_sizes(dim: int, slots: int) -> list[int]:
@@ -113,52 +125,39 @@ def chunk_sizes(dim: int, slots: int) -> list[int]:
 
 def build_round_plan(L: int, B: int, K: int, strategy: str) -> RoundPlan:
     """Assemble the broadcast schedule for one mini-batch."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    st = strategy_of(strategy)
     if L < 1 or B < 1:
         raise ValueError(f"need L >= 1 and B >= 1, got L={L}, B={B}")
-    if strategy in _CONSENSUS_STRATEGIES and K < 1:
+    if st.consensus and K < 1:
         raise ValueError(f"strategy {strategy!r} needs K >= 1 consensus rounds")
     sched: list[tuple[Payload, ...]] = []
-    if strategy in ("fwd-only", "naive-per-sample", "per-batch-consensus"):
-        for b in range(1, B + 1):
-            for l in range(1, L + 1):
-                sched.append((Payload("fwd", sample=b, layer=l),))
-            if strategy == "fwd-only":
-                continue
-            for l in range(L, 1, -1):
-                sched.append((Payload("adjoint", sample=b, layer=l),))
-            if strategy == "naive-per-sample":
-                for k in range(1, K + 1):
-                    sched.append((Payload("grad-consensus", sample=b, k=k),))
-        if strategy == "per-batch-consensus":
-            for k in range(1, K + 1):
-                sched.append((Payload("grad-consensus", k=k),))
-    else:
-        chunked = strategy == "piggyback-do"
-        slot = 0
-        for b in range(1, B + 1):
-            for l in range(1, L + 1):
-                items = [Payload("fwd", sample=b, layer=l)]
-                if b >= 2 and l <= L - 1:
-                    items.append(Payload("adjoint", sample=b - 1, layer=L - l + 1))
-                if chunked:
-                    items.append(Payload("chunk", chunk=slot))
-                    if slot == 0:
-                        items.append(Payload("degree"))
-                    slot += 1
-                sched.append(tuple(items))
-        for i in range(1, L):
-            sched.append((Payload("adjoint", sample=B, layer=L - i + 1),))
-        if strategy == "piggyback-consensus":
-            for k in range(1, K + 1):
-                sched.append((Payload("grad-consensus", k=k),))
+    for b in range(1, B + 1):
+        for l in range(1, L + 1):
+            items = [Payload("fwd", sample=b, layer=l)]
+            if st.pipelined and b >= 2 and l < L:
+                items.append(Payload("adjoint", sample=b - 1, layer=L - l + 1))
+            if st.chunked:
+                c = (b - 1) * L + l - 1
+                items.append(Payload("chunk", chunk=c))
+                if c == 0:
+                    items.append(Payload("degree"))
+            sched.append(tuple(items))
+        if st.kinds and (not st.pipelined or b == B):
+            sched += [(Payload("adjoint", sample=b, layer=l),) for l in range(L, 1, -1)]
+        if st.consensus == "per-sample":
+            sched += [(Payload("grad-consensus", sample=b, k=k),) for k in range(1, K + 1)]
+    if st.consensus == "per-batch":
+        sched += [(Payload("grad-consensus", k=k),) for k in range(1, K + 1)]
     plan = RoundPlan(strategy, L, B, K, tuple(sched))
-    assert plan.rounds == expected_rounds(strategy, L, B, K)
+    assert plan.rounds == st.rounds(L, B, K)
     return plan
 
 
 UPDATE = Payload("update")  # the optimizer step after a plan's last round
+
+# The fields each payload kind must carry.
+_FIELDS = {"fwd": ("sample", "layer"), "adjoint": ("sample", "layer"), "grad-consensus": ("k",),
+           "chunk": ("chunk",), "degree": (), "update": ()}
 
 
 def delivery(p: Payload, plan: RoundPlan) -> tuple[tuple, tuple | None, tuple]:
@@ -170,12 +169,20 @@ def delivery(p: Payload, plan: RoundPlan) -> tuple[tuple, tuple | None, tuple]:
     Samples run their forward passes one at a time and in order, one backward
     pass is in flight at a time, and the pseudo-payload UPDATE consumes every
     sample's finished backward pass (and, in piggyback-do, every parameter
-    chunk and the degree) or the K-th consensus round.
+    chunk and the degree) or the K-th consensus round. A payload that lacks a
+    field its kind needs, or a plan of an unknown strategy, is a
+    CausalityError.
     """
+    st = strategy_of(plan.strategy, CausalityError)
+    if p.kind not in _FIELDS:
+        raise CausalityError(f"unknown payload kind {p.kind!r}")
+    lacking = [f for f in _FIELDS[p.kind] if getattr(p, f) is None]
+    if lacking:
+        raise CausalityError(f"{p.kind} payload without {lacking[0]}")
     L, B, K, b = plan.L, plan.B, plan.K, p.sample
 
     def done(s: int) -> tuple:  # the delivery that finishes sample s's backward pass
-        return ("fwd", s, L) if L == 1 or plan.strategy == "fwd-only" else ("adjoint", s, 2)
+        return ("fwd", s, L) if L == 1 or not st.kinds else ("adjoint", s, 2)
 
     source, after = None, ()
     if p.kind == "fwd":
@@ -197,18 +204,15 @@ def delivery(p: Payload, plan: RoundPlan) -> tuple[tuple, tuple | None, tuple]:
             after = tuple(done(s) for s in ((b,) if b else range(1, B + 1)))
     elif p.kind == "update":
         key = ("update", None)
-        if plan.strategy == "naive-per-sample":
-            after = tuple(("grad-consensus", s, K) for s in range(1, B + 1))
-        elif plan.strategy in _CONSENSUS_STRATEGIES:
-            after = (("grad-consensus", None, K),)
+        if st.consensus:
+            samples = range(1, B + 1) if st.consensus == "per-sample" else (None,)
+            after = tuple(("grad-consensus", s, K) for s in samples)
         else:
             after = tuple(done(s) for s in range(1, B + 1))
-            if plan.strategy == "piggyback-do":
+            if st.chunked:
                 after += tuple(("chunk", c) for c in range(L * B)) + (("degree", None),)
-    elif p.kind in ("chunk", "degree"):
+    else:  # chunk or degree
         key = (p.kind, p.chunk)
-    else:
-        raise CausalityError(f"unknown payload kind {p.kind!r}")
     return key, source, ((source,) if source else ()) + after
 
 
@@ -292,7 +296,7 @@ class PlanCost:
     @classmethod
     def of(cls, plan: RoundPlan, widths, dim: int) -> PlanCost:
         audit_causality(plan)
-        chunks = chunk_sizes(dim, plan.L * plan.B) if plan.strategy == "piggyback-do" else None
+        chunks = chunk_sizes(dim, plan.L * plan.B) if STRATEGY[plan.strategy].chunked else None
         sizes = tuple(
             sum(_payload_scalars(p, widths, dim, chunks) for p in items) for items in plan.schedule
         )
@@ -380,16 +384,10 @@ class MinibatchResult:
 
 
 def check_pairing(strategy: str, kind: str) -> None:
-    if strategy == "fwd-only":
-        return
-    if strategy in _CONSENSUS_STRATEGIES:
-        if kind != "d-naive":
-            raise ValueError(f"strategy {strategy!r} requires the d-naive optimizer")
-    elif strategy == "piggyback-do":
-        if kind not in DO_KINDS:
-            raise ValueError(
-                f"strategy 'piggyback-do' requires one of {DO_KINDS}, got {kind!r}"
-            )
+    """Reject an optimizer the strategy does not train; fwd-only bills any."""
+    kinds = strategy_of(strategy).kinds
+    if kinds and kind not in kinds:
+        raise ValueError(f"strategy {strategy!r} requires one of {kinds}, got {kind!r}")
 
 
 def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="stacked", plan=None) -> MinibatchResult:
@@ -401,9 +399,8 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
     the per-node batch-summed gradients. A custom `plan` is audited before
     it runs.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if engine not in ("agents", "stacked"):
+    st = strategy_of(strategy)
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     cfg = net.optimizer.cfg
     check_pairing(strategy, cfg.kind)
@@ -419,7 +416,7 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
             )
     if plan is None:
         cost = net.plan_cost(strategy, B)
-    elif (plan.strategy, plan.L, plan.B) != (strategy, len(net.specs), B):
+    elif (plan.strategy, plan.L, plan.B, plan.K) != (strategy, len(net.specs), B, cfg.K):
         raise ValueError("custom plan does not match the requested mini-batch")
     else:
         cost = PlanCost.of(plan, net.widths, net.dim)
@@ -427,20 +424,14 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
         alpha_t = cfg.alpha * cfg.decay**net.t
 
     thetas = net.theta
-    if strategy == "fwd-only":
-        psi = thetas
-    else:
-        psi = net.optimizer.mix(thetas, net.weights.W)
+    psi = net.optimizer.mix(thetas, net.weights.W) if st.kinds else thetas
 
     execute = _execute_agents if engine == "agents" else _execute_stacked
     grads, psg, yhat, proto = execute(net, cost.plan, samples, psi)
 
-    if strategy != "fwd-only":
-        naive_mode = "per-sample" if strategy == "naive-per-sample" else "per-batch"
-        net.theta = net.optimizer.apply(
-            thetas, psi, net.weights.W, grads, alpha_t,
-            per_sample_grads=psg, naive_mode=naive_mode,
-        )
+    if st.kinds:
+        step_grads = grads if psg is None else psg
+        net.theta = net.optimizer.apply(thetas, psi, net.weights.W, step_grads, alpha_t)
     delta = CommLedger(trace_enabled=net.ledger.trace_enabled)
     for ledger in (net.ledger, delta):
         ledger.add_plan(n, cost)
@@ -456,7 +447,7 @@ def _execute_agents(net, plan, samples, psi):
     `inflight` holds what a delivery produced for a later round to relay,
     under the delivered key that `delivery` names as that round's source.
     """
-    agents, specs = net.agents, net.specs
+    agents, specs, st = net.agents, net.specs, STRATEGY[plan.strategy]
     n, L, dim = net.n, plan.L, net.dim
     X = [np.asarray(s.X, dtype=np.float64) for s in samples]
     Y = [np.asarray(s.y, dtype=np.float64) for s in samples]
@@ -466,7 +457,7 @@ def _execute_agents(net, plan, samples, psi):
         agent.reset_accumulator()
     sizes = chunk_sizes(dim, L * plan.B)
     yhat = np.zeros((plan.B, n))
-    per_sample = plan.strategy == "naive-per-sample"
+    per_sample = st.consensus == "per-sample"
     psg = np.zeros((plan.B, n, dim)) if per_sample else None
     w_rows = [a.w_row() for a in agents]
     inflight: dict[tuple, object] = {}
@@ -515,7 +506,7 @@ def _execute_agents(net, plan, samples, psi):
                     inflight[key] = results
                     continue
                 yhat[b - 1] = results
-                if plan.strategy == "fwd-only":
+                if not st.kinds:
                     continue
                 for i, agent in enumerate(agents):
                     local_backward_init(agent, Y[b - 1][i], results[i])
@@ -525,7 +516,7 @@ def _execute_agents(net, plan, samples, psi):
             elif per_sample:  # sample b's backward pass is finished
                 psg[b - 1] = [local_gradient(a) for a in agents]
     proto = None
-    if plan.strategy in _CONSENSUS_STRATEGIES:
+    if st.consensus:
         proto = sum(inflight[k] for k in delivery(UPDATE, plan)[2])
     grads = np.stack([a.grad_accum.copy() for a in agents])
     return grads, psg, yhat, proto
@@ -537,10 +528,11 @@ def _execute_stacked(net, plan, samples, psi):
     X = np.stack([np.asarray(s.X, dtype=np.float64) for s in samples])
     Y = np.stack([np.asarray(s.y, dtype=np.float64) for s in samples])
     th0, th1 = stack_flat_params(specs, psi)
-    if plan.strategy == "fwd-only":
+    st = STRATEGY[plan.strategy]
+    if not st.kinds:
         res = stacked_gradients(specs, th0, th1, S, X, None, forward_only=True)
         return np.zeros((net.n, net.dim)), None, res.yhat, None
-    per_sample = plan.strategy == "naive-per-sample"
+    per_sample = st.consensus == "per-sample"
     res = stacked_gradients(specs, th0, th1, S, X, Y, per_sample=per_sample)
     if per_sample:
         return res.grads.sum(axis=0), res.grads, res.yhat, None
@@ -552,21 +544,12 @@ def ledger_report(entries) -> list[dict]:
 
     entries: iterables of (strategy, L, B, K, ledger).
     """
-    rows = []
-    for strategy, L, B, K, ledger in entries:
-        rows.append(
-            {
-                "strategy": strategy,
-                "L": L,
-                "B": B,
-                "K": K,
-                "rounds": ledger.rounds,
-                "expected_rounds": expected_rounds(strategy, L, B, K),
-                "broadcasts": ledger.broadcasts,
-                "scalars": ledger.scalars,
-            }
-        )
-    return rows
+    return [
+        {"strategy": strategy, "L": L, "B": B, "K": K, "rounds": ledger.rounds,
+         "expected_rounds": expected_rounds(strategy, L, B, K),
+         "broadcasts": ledger.broadcasts, "scalars": ledger.scalars}
+        for strategy, L, B, K, ledger in entries
+    ]
 
 
 def cost_table(L: int, B: int, K: int, n: int = 4, seed: int = 0) -> list[dict]:
@@ -583,7 +566,7 @@ def cost_table(L: int, B: int, K: int, n: int = 4, seed: int = 0) -> list[dict]:
     ]
     rows = []
     for strategy in STRATEGIES:
-        kind = "d-naive" if strategy in _CONSENSUS_STRATEGIES else "d-sgd"
+        kind = "d-naive" if STRATEGY[strategy].consensus else "d-sgd"
         cfg = OptimizerConfig(kind=kind, alpha=1e-3, K=K)
         params0 = ParamSet.from_flat(specs, np.zeros(num_params(specs)))
         net = Network(graph, shift, weights, params0, cfg)
@@ -593,12 +576,8 @@ def cost_table(L: int, B: int, K: int, n: int = 4, seed: int = 0) -> list[dict]:
 
 
 def write_ledger_csv(path: str | Path, rows) -> None:
-    lines = ["strategy,L,B,K,rounds,broadcasts,scalars"]
-    for row in rows:
-        lines.append(
-            f"{row['strategy']},{row['L']},{row['B']},{row['K']},"
-            f"{row['rounds']},{row['broadcasts']},{row['scalars']}"
-        )
+    cols = ("strategy", "L", "B", "K", "rounds", "broadcasts", "scalars")
+    lines = [",".join(cols)] + [",".join(str(row[c]) for c in cols) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -214,24 +214,20 @@ class DistOptimizer:
         else:
             self.moments = None
 
-    @property
-    def mixes_params(self) -> bool:
-        return self.cfg.kind in DO_KINDS
-
     def mix(self, thetas, W) -> np.ndarray:
-        if self.mixes_params:
+        if self.cfg.kind in DO_KINDS:
             return consensus_round(thetas, W)
         return np.asarray(thetas, dtype=np.float64)
 
-    def apply(self, thetas, psi, W, batch_grads, alpha_t, per_sample_grads=None, naive_mode="per-batch"):
+    def apply(self, thetas, psi, W, grads, alpha_t):
+        """Finish the update from gradients evaluated at `psi`; d-naive reads
+        (B, n, dim) gradients as per-sample and (n, dim) ones as per-batch."""
         kind = self.cfg.kind
         if kind == "d-sgd":
-            return dsgd_update(thetas, W, alpha_t, batch_grads, premixed=psi)
+            return dsgd_update(thetas, W, alpha_t, grads, premixed=psi)
         if kind == "d-adam":
-            return dadam_update(thetas, self.moments, W, alpha_t, batch_grads, self.cfg, premixed=psi)
+            return dadam_update(thetas, self.moments, W, alpha_t, grads, self.cfg, premixed=psi)
         if kind == "d-amsgrad":
-            return damsgrad_update(thetas, self.moments, W, alpha_t, batch_grads, self.cfg, premixed=psi)
-        grads = per_sample_grads if naive_mode == "per-sample" else batch_grads
-        if grads is None:
-            raise ValueError(f"missing gradients for naive mode {naive_mode!r}")
-        return dnaive_update(thetas, W, self.cfg.K, alpha_t, grads, naive_mode)
+            return damsgrad_update(thetas, self.moments, W, alpha_t, grads, self.cfg, premixed=psi)
+        mode = "per-sample" if np.ndim(grads) == 3 else "per-batch"
+        return dnaive_update(thetas, W, self.cfg.K, alpha_t, grads, mode)

@@ -22,8 +22,9 @@ import numpy as np
 
 from .agents import stack_flat_params, stacked_gradients
 from .datagen import DatasetSpec, default_teacher_specs, draw_samples, make_dataset
-from .gcnn import LayerSpec, ParamSet, forward, init_params, mse_loss
+from .gcnn import LayerSpec, ParamSet, forward, init_params, mse_loss, validate_specs
 from .graphs import (
+    SHIFT_VARIANTS,
     Graph,
     build_shift,
     generate_ba,
@@ -31,12 +32,11 @@ from .graphs import (
     load_edge_list,
     metropolis_weights,
 )
-from .netsim import STRATEGIES, Network, check_pairing, expected_rounds, run_minibatch
-from .optim import CENTRAL_KINDS, DIST_KINDS, CentralOptimizer, OptimizerConfig, OPTIMIZER_KINDS
+from .netsim import ENGINES, Network, check_pairing, expected_rounds, run_minibatch, strategy_of
+from .optim import CENTRAL_KINDS, DIST_KINDS, CentralOptimizer, OptimizerConfig
 
 GRAPH_KINDS = ("ba", "er", "file")
 TOPOLOGY_MODES = ("fixed", "redraw-per-batch")
-ENGINES = ("agents", "stacked")
 
 
 class TrainingDiverged(RuntimeError):
@@ -82,22 +82,26 @@ class RunConfig:
     track_trace: bool = False
 
     def validate(self) -> None:
+        """Reject a bad configuration before anything runs. The optimizer
+        config, model specs and dataset spec check their own fields."""
         if self.graph not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.graph!r}")
         if self.graph == "file" and not self.graph_file:
             raise ValueError("graph kind 'file' needs graph_file")
-        if self.optimizer not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "fwd-only":
-            raise ValueError("fwd-only is an accounting baseline, not a training strategy")
-        if self.optimizer in DIST_KINDS:
-            check_pairing(self.strategy, self.optimizer)
-        if self.layers < 1:
-            raise ValueError("need at least one layer")
-        if self.batch < 1 or self.n_train < self.batch:
-            raise ValueError("need n_train >= batch >= 1")
+        if self.graph == "ba" and not self.n > self.m >= 1:
+            raise ValueError(f"need n > m >= 1, got n={self.n}, m={self.m}")
+        if self.graph == "er" and not (self.n >= 2 and 0.0 < self.p <= 1.0):
+            raise ValueError(f"need n >= 2 and p in (0, 1], got n={self.n}, p={self.p}")
+        if self.shift not in SHIFT_VARIANTS:
+            raise ValueError(f"unknown shift variant {self.shift!r}")
+        if not strategy_of(self.strategy).kinds:
+            raise ValueError(f"{self.strategy} is an accounting baseline, not a training strategy")
+        opt = self.optimizer_config()
+        if opt.kind in DIST_KINDS:
+            check_pairing(self.strategy, opt.kind)
+        validate_specs(self.model_specs(self.dataset_spec().g0))
+        if self.batch < 1 or self.n_train < self.batch or self.n_test < 1:
+            raise ValueError("need n_train >= batch >= 1 and n_test >= 1")
         if self.epochs < 1 or self.eval_every < 1:
             raise ValueError("epochs and eval_every must be >= 1")
         if self.topology_mode not in TOPOLOGY_MODES:
@@ -117,6 +121,14 @@ class RunConfig:
             epsilon=self.epsilon,
             K=self.K,
             consensus_on_v=self.consensus_on_v,
+        )
+
+    def dataset_spec(self, seed: int = 0) -> DatasetSpec:
+        return DatasetSpec(
+            n_samples=self.n_train + self.n_test,
+            teacher_specs=default_teacher_specs(10, self.teacher_hidden),
+            noise_var=self.noise_var,
+            seed=seed,
         )
 
     def model_specs(self, g0: int = 10) -> tuple[LayerSpec, ...]:
@@ -192,12 +204,7 @@ def _setup(config: RunConfig):
     graph_seed, data_seed, init_seed, redraw_seed = _spawn_seeds(config.seed, 4)
     graph = _build_graph(config, graph_seed)
     shift = build_shift(graph, config.shift)
-    dspec = DatasetSpec(
-        n_samples=config.n_train + config.n_test,
-        teacher_specs=default_teacher_specs(10, config.teacher_hidden),
-        noise_var=config.noise_var,
-        seed=data_seed,
-    )
+    dspec = config.dataset_spec(data_seed)
     samples, teacher = make_dataset(graph, dspec, config.shift)
     train = samples[: config.n_train]
     test = samples[config.n_train :]
