@@ -290,6 +290,12 @@ def stacked_gradients(
     per layer; nodes may hold different copies. X is (B, n, g0), y is (B, n).
     Gradients are per-node flattened sensitivities of the summed per-node
     losses, summed over the batch unless per_sample is set.
+
+    Activations are node-major, (n, B, width): X is transposed once on entry
+    and yhat once on exit. The aggregation S @ x is then one matrix product
+    over the (n, B*width) view for the whole batch, the per-node weights are
+    a matmul batched over nodes, and the backward neighbour term is S.T @ msg
+    on the same view (S.T is a view that BLAS reads transposed).
     """
     specs = tuple(specs)
     S = np.asarray(S, dtype=np.float64)
@@ -299,15 +305,13 @@ def stacked_gradients(
     if X.shape != (B, n, specs[0].g_in):
         raise ValueError(f"features must be (B, {n}, {specs[0].g_in}), got {X.shape}")
     caches = []
-    cur = X
+    cur = np.ascontiguousarray(X.transpose(1, 0, 2))
     for k, spec in enumerate(specs):
-        agg = np.matmul(S, cur)
-        h = np.einsum("bni,nio->bno", cur, theta0_stack[k]) + np.einsum(
-            "bni,nio->bno", agg, theta1_stack[k]
-        )
+        agg = (S @ cur.reshape(n, -1)).reshape(cur.shape)
+        h = np.matmul(cur, theta0_stack[k]) + np.matmul(agg, theta1_stack[k])
         caches.append((cur, agg, h))
         cur = apply_activation(spec, h)
-    yhat = cur[..., 0].copy()
+    yhat = cur[..., 0].T.copy()
     if forward_only:
         return StackedResult(yhat, None)
 
@@ -317,30 +321,21 @@ def stacked_gradients(
     dim = num_params(specs)
     slices = param_slices(specs)
     grads = np.zeros((B, n, dim)) if per_sample else np.zeros((n, dim))
-    s_diag = np.diag(S).copy()
-    s_off_t = S.T.copy()
-    np.fill_diagonal(s_off_t, 0.0)
-    z = (2.0 * (yhat - y))[..., None]
+    z = (2.0 * (yhat - y)).T[..., None]
     for k in reversed(range(len(specs))):
         xprev, agg, h = caches[k]
         q = z * activation_derivative(specs[k], h)
-        if per_sample:
-            d0 = np.einsum("bni,bno->bnio", xprev, q)
-            d1 = np.einsum("bni,bno->bnio", agg, q)
-            grads[:, :, slices[k][0]] = d0.reshape(B, n, -1)
-            grads[:, :, slices[k][1]] = d1.reshape(B, n, -1)
-        else:
-            d0 = np.einsum("bni,bno->nio", xprev, q)
-            d1 = np.einsum("bni,bno->nio", agg, q)
-            grads[:, slices[k][0]] = d0.reshape(n, -1)
-            grads[:, slices[k][1]] = d1.reshape(n, -1)
+        for x, sl in zip((xprev, agg), slices[k]):
+            if per_sample:
+                outer = x[..., :, None] * q[..., None, :]
+                grads[:, :, sl] = outer.reshape(n, B, -1).transpose(1, 0, 2)
+            else:
+                grads[:, sl] = np.matmul(x.transpose(0, 2, 1), q).reshape(n, -1)
         if k > 0:
-            msg = np.einsum("nio,bno->bni", theta1_stack[k], q)
-            z = (
-                np.einsum("nio,bno->bni", theta0_stack[k], q)
-                + s_diag[None, :, None] * msg
-                + np.matmul(s_off_t, msg)
-            )
+            msg = np.matmul(q, theta1_stack[k].transpose(0, 2, 1))
+            z = np.matmul(q, theta0_stack[k].transpose(0, 2, 1)) + (
+                S.T @ msg.reshape(n, -1)
+            ).reshape(msg.shape)
     return StackedResult(yhat, grads)
 
 

@@ -224,7 +224,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     graph = generate_er(args.n, 0.6, args.seed)
     shift = build_shift(graph, "normalized-adjacency")
-    specs = RunConfig(layers=args.layers, hidden=args.hidden).model_specs(args.g0)
+    try:
+        specs = RunConfig(layers=args.layers, hidden=args.hidden).model_specs(args.g0)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     params = init_params(specs, "glorot", args.seed + 1)
     X = rng.normal(size=(graph.n, args.g0))
     y = rng.normal(size=graph.n)

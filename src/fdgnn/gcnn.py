@@ -181,26 +181,29 @@ def _shift_matrix(shift) -> np.ndarray:
 
 
 def forward(params: ParamSet, shift, X: np.ndarray):
-    """Run all layers; returns the prediction column and the cached activations."""
+    """Run all layers; returns the prediction column and the cached activations.
+
+    X is (n, g0) for one sample or (B, n, g0) for a batch, giving an (n,) or
+    a (B, n) prediction; each sample of a batch goes through the same matrix
+    products as it would alone.
+    """
     S = _shift_matrix(shift)
     X = np.asarray(X, dtype=np.float64)
-    n = S.shape[0]
-    if X.ndim != 2 or X.shape != (n, params.specs[0].g_in):
-        raise ValueError(
-            f"features must be ({n}, {params.specs[0].g_in}), got {X.shape}"
-        )
+    n, g0 = S.shape[0], params.specs[0].g_in
+    if X.ndim not in (2, 3) or X.shape[-2:] != (n, g0):
+        raise ValueError(f"features must be ({n}, {g0}) or (B, {n}, {g0}), got {X.shape}")
     if params.specs[-1].g_out != 1:
         raise ValueError("prediction network must end in a width-1 layer")
     acts = Activations(x=[X])
     cur = X
     for spec, t0, t1 in zip(params.specs, params.theta0, params.theta1):
-        agg = S @ cur
+        agg = np.matmul(S, cur)
         h = cur @ t0 + agg @ t1
         acts.a.append(agg)
         acts.h.append(h)
         cur = apply_activation(spec, h)
         acts.x.append(cur)
-    return cur[:, 0].copy(), acts
+    return cur[..., 0].copy(), acts
 
 
 def node_losses(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:

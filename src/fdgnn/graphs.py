@@ -133,33 +133,25 @@ def generate_er(n: int, p: float, seed: int, max_tries: int = 100) -> Graph:
     )
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    A = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        A[i, j] = 1.0
-        A[j, i] = 1.0
-    return A
-
-
 def build_shift(g: Graph, variant: str = "normalized-adjacency") -> ShiftOperator:
-    """Build the requested mixing matrix from the topology."""
+    """Build the requested mixing matrix straight from the edge list."""
     if variant not in SHIFT_VARIANTS:
         raise ValueError(f"unknown shift variant {variant!r}")
-    A = adjacency_matrix(g)
-    d = A.sum(axis=1)
-    if variant == "adjacency":
-        S = A
-    elif variant == "laplacian":
-        S = np.diag(d) - A
-    else:
+    i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    d = g.degrees.astype(np.float64)
+    S = np.zeros((g.n, g.n))
+    if variant.startswith("normalized"):
         with np.errstate(divide="ignore"):
             dinv = np.where(d > 0, d, 1.0) ** -0.5
         dinv = np.where(d > 0, dinv, 0.0)
-        norm_adj = dinv[:, None] * A * dinv[None, :]
-        if variant == "normalized-adjacency":
-            S = norm_adj
-        else:
-            S = np.eye(g.n) - norm_adj
+        w = dinv[i] * dinv[j]
+    else:
+        w = 1.0
+    if variant.endswith("laplacian"):
+        w = -w
+        np.fill_diagonal(S, 1.0 if variant == "normalized-laplacian" else d)
+    S[i, j] = w
+    S[j, i] = w
     return ShiftOperator(variant, S)
 
 
@@ -169,14 +161,13 @@ def metropolis_weights(g: Graph) -> ConsensusWeights:
     Off-diagonal entries are 1 / (1 + max(d(i), d(j))) on edges; diagonals
     absorb the remainder so every row sums to one.
     """
-    W = np.zeros((g.n, g.n))
+    i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     d = g.degrees
-    for i, j in g.edges:
-        w = 1.0 / (1.0 + max(d[i], d[j]))
-        W[i, j] = w
-        W[j, i] = w
-    for i in range(g.n):
-        W[i, i] = 1.0 - W[i].sum()
+    w = 1.0 / (1.0 + np.maximum(d[i], d[j]))
+    W = np.zeros((g.n, g.n))
+    W[i, j] = w
+    W[j, i] = w
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return ConsensusWeights(W)
 
 

@@ -377,7 +377,6 @@ class Network:
 class MinibatchResult:
     train_mse: float
     grads: np.ndarray  # (n, dim) per-node batch-summed gradients
-    per_sample_grads: np.ndarray | None
     yhat: np.ndarray  # (B, n)
     ledger: CommLedger
     protocol_consensus: np.ndarray | None = None
@@ -438,7 +437,7 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
     net.t += 1
     y_all = np.stack([np.asarray(s.y, dtype=np.float64) for s in samples])
     train_mse = float(np.mean((yhat - y_all) ** 2))
-    return MinibatchResult(train_mse, grads, psg, yhat, delta, proto)
+    return MinibatchResult(train_mse, grads, yhat, delta, proto)
 
 
 def _execute_agents(net, plan, samples, psi):

@@ -86,8 +86,13 @@ class RunConfig:
         config, model specs and dataset spec check their own fields."""
         if self.graph not in GRAPH_KINDS:
             raise ValueError(f"unknown graph kind {self.graph!r}")
-        if self.graph == "file" and not self.graph_file:
-            raise ValueError("graph kind 'file' needs graph_file")
+        if self.graph == "file":
+            if not self.graph_file:
+                raise ValueError("graph kind 'file' needs graph_file")
+            try:
+                _build_graph(self, self.seed)
+            except OSError as err:
+                raise ValueError(f"cannot read graph file {self.graph_file}: {err}") from err
         if self.graph == "ba" and not self.n > self.m >= 1:
             raise ValueError(f"need n > m >= 1, got n={self.n}, m={self.m}")
         if self.graph == "er" and not (self.n >= 2 and 0.0 < self.p <= 1.0):
@@ -191,12 +196,10 @@ def _build_graph(config: RunConfig, seed: int) -> Graph:
 
 
 def evaluate_mse(params: ParamSet, shift, samples) -> float:
-    """Mean over samples of the node-mean squared error under `params`."""
-    total = 0.0
-    for s in samples:
-        yhat, _ = forward(params, shift, s.X)
-        total += mse_loss(s.y, yhat)
-    return total / len(samples)
+    """Mean over samples of the node-mean squared error under `params`,
+    from one batched forward pass over every sample."""
+    yhat, _ = forward(params, shift, np.stack([s.X for s in samples]))
+    return sum(mse_loss(s.y, row) for s, row in zip(samples, yhat)) / len(samples)
 
 
 def _setup(config: RunConfig):
