@@ -92,10 +92,9 @@ class AgentState:
         self._slices = param_slices(params.specs)
         self._fwd: dict[int, dict] = {}
         self._bwd: dict[int, dict] = {}
-        self._sample_grads: dict[int, np.ndarray] = {}
+        self._grad: np.ndarray | None = None  # the latest backward pass's gradient
         self._fwd_sample: int | None = None
         self._bwd_sample: int | None = None
-        self._completed: int | None = None
 
     @property
     def n_layers(self) -> int:
@@ -118,10 +117,9 @@ class AgentState:
         self.grad_accum[:] = 0.0
         self._fwd.clear()
         self._bwd.clear()
-        self._sample_grads.clear()
         self._fwd_sample = None
         self._bwd_sample = None
-        self._completed = None
+        self._grad = None
 
 
 def _gather(state, inbox, payload_type, tag_layer, width):
@@ -187,7 +185,7 @@ def local_backward_init(state: AgentState, y_i: float, yhat_i: float) -> None:
         "q": None,
         "layer": state.n_layers,
     }
-    state._sample_grads = {sample: np.zeros(state.params.dim)}
+    state._grad = np.zeros(state.params.dim)
     state._bwd_sample = sample
 
 
@@ -197,9 +195,9 @@ def local_backward_layer(state: AgentState, l: int, inbox):
     For l = L the inbox is empty (the top adjoint is local). For l < L the
     inbox must hold every neighbor's layer-(l+1) adjoint product; each is
     scaled by the symmetric shift entry before entering the recursion. Layer
-    partials are accumulated into the per-sample buffer and grad_accum. The
-    returned adjoint (None for l = 1) is what neighbors need to recurse past
-    layer l.
+    partials are accumulated into the sample's gradient, which is added to
+    grad_accum once the sample's backward pass ends. The returned adjoint
+    (None for l = 1) is what neighbors need to recurse past layer l.
     """
     sample = state._bwd_sample
     if sample is None:
@@ -228,16 +226,13 @@ def local_backward_layer(state: AgentState, l: int, inbox):
     d0 = np.outer(fw["x"][l - 1], q)
     d1 = np.outer(fw["a"][l], q)
     sl0, sl1 = state._slices[l - 1]
-    buf = state._sample_grads[sample]
-    buf[sl0] += d0.ravel()
-    buf[sl1] += d1.ravel()
-    state.grad_accum[sl0] += d0.ravel()
-    state.grad_accum[sl1] += d1.ravel()
+    state._grad[sl0] += d0.ravel()
+    state._grad[sl1] += d1.ravel()
     st["q"] = q
     st["layer"] = l - 1
     if l >= 2:
         return BwdAdjoint(l, (params.theta1[l - 1] @ q).copy())
-    state._completed = sample
+    state.grad_accum += state._grad
     del state._fwd[sample]
     del state._bwd[sample]
     if state._fwd_sample == sample:
@@ -248,10 +243,9 @@ def local_backward_layer(state: AgentState, l: int, inbox):
 
 def local_gradient(state: AgentState) -> np.ndarray:
     """Flat per-sample gradient of the summed loss w.r.t. this node's copy."""
-    sample = state._completed
-    if sample is None or sample not in state._sample_grads:
+    if state._grad is None or state._bwd_sample is not None:
         raise ProtocolError("no completed backward pass to read a gradient from")
-    return state._sample_grads[sample].copy()
+    return state._grad.copy()
 
 
 def make_agents(graph: Graph, shift: ShiftOperator, params: ParamSet) -> list[AgentState]:

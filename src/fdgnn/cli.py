@@ -23,6 +23,7 @@ from .netsim import ENGINES, cost_table, write_ledger_csv, write_trace_csv
 from .optim import CENTRAL_KINDS
 from .trainer import (
     GRAPH_KINDS,
+    METRICS_COLUMNS,
     RunConfig,
     TrainingDiverged,
     train_centralized,
@@ -169,12 +170,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run, COMPARE_METHODS))
 
-    lines = ["method,t,rounds,train_mse,test_mse,consensus_gap"]
+    lines = [f"method,{METRICS_COLUMNS}"]
     for name, res in results:
-        for r in res.log.records:
-            lines.append(
-                f"{name},{r.t},{r.rounds},{r.train_mse!r},{r.test_mse!r},{r.consensus_gap!r}"
-            )
+        lines += [f"{name},{r.csv_row()}" for r in res.log.records]
     (out / "compare.csv").write_text("\n".join(lines) + "\n")
     for name, res in results:
         final = res.log.final
@@ -219,8 +217,8 @@ def _finite_difference(specs, theta, shift, X, y, step=1e-6):
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if args.n < 2 or args.layers < 1:
-        raise ConfigError("need n >= 2 and layers >= 1")
+    if args.n < 2 or args.layers < 1 or args.seed < 0:
+        raise ConfigError("need n >= 2, layers >= 1 and seed >= 0")
     rng = np.random.default_rng(args.seed)
     graph = generate_er(args.n, 0.6, args.seed)
     shift = build_shift(graph, "normalized-adjacency")

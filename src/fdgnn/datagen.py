@@ -39,8 +39,8 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be >= 0")
+        if not 0.0 <= self.noise_var < np.inf:
+            raise ValueError("noise variance must be finite and >= 0")
         for kind, width in self.feature_plan:
             if kind not in FEATURE_KINDS:
                 raise ValueError(f"unknown feature kind {kind!r}")
@@ -62,6 +62,13 @@ class DatasetSpec:
 class Sample:
     X: np.ndarray  # (n, g0)
     y: np.ndarray  # (n,)
+
+
+def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, n, g0) features and (B, n) labels of B samples, as float64."""
+    X = np.stack([s.X for s in samples]).astype(np.float64, copy=False)
+    Y = np.stack([s.y for s in samples]).astype(np.float64, copy=False)
+    return X, Y
 
 
 def draw_features(plan, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -140,7 +147,9 @@ def save_dataset(samples, spec: DatasetSpec, n_nodes: int, out_dir: str | Path) 
 
 
 def load_dataset(in_dir: str | Path):
-    """Inverse of save_dataset; returns (samples, metadata dict)."""
+    """Inverse of save_dataset; returns (samples, metadata dict). A bundle
+    whose arrays do not match its spec, or hold a non-finite value, is a
+    ValueError."""
     src = Path(in_dir)
     meta = json.loads((src / "spec.json").read_text())
     n, g0 = meta["n_nodes"], meta["g0"]
@@ -148,6 +157,10 @@ def load_dataset(in_dir: str | Path):
     labels = np.loadtxt(src / "labels.csv", delimiter=",", ndmin=2)
     if feats.shape != (meta["n_samples"] * n, g0):
         raise ValueError(f"features shape {feats.shape} does not match spec")
+    if labels.shape != (meta["n_samples"], n):
+        raise ValueError(f"labels shape {labels.shape} does not match spec")
+    if not (np.isfinite(feats).all() and np.isfinite(labels).all()):
+        raise ValueError("dataset holds a non-finite feature or label")
     samples = [
         Sample(X=feats[k * n : (k + 1) * n], y=labels[k]) for k in range(meta["n_samples"])
     ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -33,8 +32,9 @@ from .agents import (
     stack_flat_params,
     stacked_gradients,
 )
-from .gcnn import LayerSpec, ParamSet, num_params
-from .graphs import ConsensusWeights, Graph, ShiftOperator, build_shift, metropolis_weights
+from .datagen import stack_samples
+from .gcnn import ParamSet
+from .graphs import ConsensusWeights, Graph, ShiftOperator
 from .optim import DO_KINDS, DistOptimizer, OptimizerConfig
 
 ENGINES = ("agents", "stacked")
@@ -312,7 +312,7 @@ class Network:
     round plans are built and audited once per (strategy, batch size).
     """
 
-    def __init__(self, graph, shift, weights, params0: ParamSet, opt_cfg, track_trace=False):
+    def __init__(self, graph, shift, weights, params0: ParamSet, opt_cfg: OptimizerConfig, track_trace=False):
         self.graph: Graph = graph
         self.shift: ShiftOperator = shift
         self.weights: ConsensusWeights = weights
@@ -320,8 +320,7 @@ class Network:
         self.dim = params0.dim
         self.widths = [self.specs[0].g_in] + [s.g_out for s in self.specs]
         self.theta = np.tile(params0.flatten(), (graph.n, 1))
-        cfg = opt_cfg if isinstance(opt_cfg, OptimizerConfig) else OptimizerConfig(**opt_cfg)
-        self.optimizer = DistOptimizer(cfg, graph.n, self.dim)
+        self.optimizer = DistOptimizer(opt_cfg, graph.n, self.dim)
         self.ledger = CommLedger(trace_enabled=track_trace)
         self.t = 0
         self._agents: list[AgentState] | None = None
@@ -407,12 +406,11 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
     if B < 1:
         raise ValueError("empty mini-batch")
     n, g0 = net.n, net.specs[0].g_in
-    for s in samples:
-        if np.shape(s.X) != (n, g0) or np.shape(s.y) != (n,):
-            raise ValueError(
-                f"sample shapes must be ({n}, {g0}) and ({n},), "
-                f"got {np.shape(s.X)} and {np.shape(s.y)}"
-            )
+    X, Y = stack_samples(samples)
+    if X.shape != (B, n, g0) or Y.shape != (B, n):
+        raise ValueError(
+            f"sample shapes must be ({n}, {g0}) and ({n},), got {X.shape[1:]} and {Y.shape[1:]}"
+        )
     if plan is None:
         cost = net.plan_cost(strategy, B)
     elif (plan.strategy, plan.L, plan.B, plan.K) != (strategy, len(net.specs), B, cfg.K):
@@ -426,7 +424,7 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
     psi = net.optimizer.mix(thetas, net.weights.W) if st.kinds else thetas
 
     execute = _execute_agents if engine == "agents" else _execute_stacked
-    grads, psg, yhat, proto = execute(net, cost.plan, samples, psi)
+    grads, psg, yhat, proto = execute(net, cost.plan, X, Y, psi)
 
     if st.kinds:
         step_grads = grads if psg is None else psg
@@ -435,12 +433,11 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
     for ledger in (net.ledger, delta):
         ledger.add_plan(n, cost)
     net.t += 1
-    y_all = np.stack([np.asarray(s.y, dtype=np.float64) for s in samples])
-    train_mse = float(np.mean((yhat - y_all) ** 2))
+    train_mse = float(np.mean((yhat - Y) ** 2))
     return MinibatchResult(train_mse, grads, yhat, delta, proto)
 
 
-def _execute_agents(net, plan, samples, psi):
+def _execute_agents(net, plan, X, Y, psi):
     """Drive the agents through the plan round by round with real messages.
 
     `inflight` holds what a delivery produced for a later round to relay,
@@ -448,8 +445,6 @@ def _execute_agents(net, plan, samples, psi):
     """
     agents, specs, st = net.agents, net.specs, STRATEGY[plan.strategy]
     n, L, dim = net.n, plan.L, net.dim
-    X = [np.asarray(s.X, dtype=np.float64) for s in samples]
-    Y = [np.asarray(s.y, dtype=np.float64) for s in samples]
     th0, th1 = stack_flat_params(specs, psi)
     for i, agent in enumerate(agents):
         agent.params = ParamSet(specs, [t[i] for t in th0], [t[i] for t in th1])
@@ -475,10 +470,8 @@ def _execute_agents(net, plan, samples, psi):
                 held = [ConsensusChunk(lo, row[lo:lo + sizes[p.chunk]].copy()) for row in psi]
             elif p.kind == "degree":
                 held = [Degree(a.degree) for a in agents]
-            elif p.kind == "grad-consensus":
-                if held is None:
-                    held = psg[p.sample - 1] if p.sample else np.stack([a.grad_accum for a in agents])
-                held = [ConsensusChunk(0, row.copy()) for row in held]
+            elif p.kind == "grad-consensus" and held is None:
+                held = psg[p.sample - 1] if p.sample else np.stack([a.grad_accum for a in agents])
             outgoing.append((p, key, held))
 
         # Delivery barrier: everything broadcast this round is now visible to
@@ -488,9 +481,9 @@ def _execute_agents(net, plan, samples, psi):
                 nxt = np.empty((n, dim))
                 for i, agent in enumerate(agents):
                     row = w_rows[i]
-                    acc = row[i] * values[i].values
+                    acc = row[i] * values[i]
                     for j in agent.neighbor_ids:
-                        acc = acc + row[j] * values[j].values
+                        acc = acc + row[j] * values[j]
                     nxt[i] = acc
                 inflight[key] = nxt
             if p.kind not in ("fwd", "adjoint"):
@@ -521,11 +514,9 @@ def _execute_agents(net, plan, samples, psi):
     return grads, psg, yhat, proto
 
 
-def _execute_stacked(net, plan, samples, psi):
+def _execute_stacked(net, plan, X, Y, psi):
     """Vectorized execution: the agents' arithmetic without message objects."""
     specs, S = net.specs, net.shift.S
-    X = np.stack([np.asarray(s.X, dtype=np.float64) for s in samples])
-    Y = np.stack([np.asarray(s.y, dtype=np.float64) for s in samples])
     th0, th1 = stack_flat_params(specs, psi)
     st = STRATEGY[plan.strategy]
     if not st.kinds:
@@ -551,27 +542,16 @@ def ledger_report(entries) -> list[dict]:
     ]
 
 
-def cost_table(L: int, B: int, K: int, n: int = 4, seed: int = 0) -> list[dict]:
-    """Measure every strategy's cost by simulating one mini-batch."""
-    pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    graph = Graph(n, pairs)
-    shift = build_shift(graph, "adjacency")
-    weights = metropolis_weights(graph)
-    specs = tuple(LayerSpec(1, 1, "identity") for _ in range(L))
-    rng = np.random.default_rng(seed)
-    samples = [
-        SimpleNamespace(X=rng.normal(size=(n, 1)), y=rng.normal(size=n))
-        for _ in range(B)
-    ]
-    rows = []
+def cost_table(L: int, B: int, K: int, n: int = 4) -> list[dict]:
+    """Every strategy's bill for one mini-batch on n nodes with 1x1 layers:
+    the `PlanCost` of its built and audited plan, as a training run's ledger
+    charges it, next to the closed-form round count."""
+    entries = []
     for strategy in STRATEGIES:
-        kind = "d-naive" if STRATEGY[strategy].consensus else "d-sgd"
-        cfg = OptimizerConfig(kind=kind, alpha=1e-3, K=K)
-        params0 = ParamSet.from_flat(specs, np.zeros(num_params(specs)))
-        net = Network(graph, shift, weights, params0, cfg)
-        result = run_minibatch(net, samples, strategy, engine="agents")
-        rows.extend(ledger_report([(strategy, L, B, K, result.ledger)]))
-    return rows
+        ledger = CommLedger()
+        ledger.add_plan(n, PlanCost.of(build_round_plan(L, B, K, strategy), [1] * (L + 1), 2 * L))
+        entries.append((strategy, L, B, K, ledger))
+    return ledger_report(entries)
 
 
 def write_ledger_csv(path: str | Path, rows) -> None:

@@ -42,10 +42,12 @@ class OptimizerConfig:
         if self.kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
         # alpha = 0 is allowed as a degenerate frozen run.
-        if self.alpha < 0:
-            raise ValueError("learning rate must be >= 0")
-        if self.decay <= 0:
-            raise ValueError("decay factor must be positive")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError("learning rate must be finite and >= 0")
+        if not 0.0 < self.decay < np.inf:
+            raise ValueError("decay factor must be finite and positive")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and >= 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("momentum factors must lie in [0, 1)")
         if self.K < 1:
@@ -207,8 +209,6 @@ class DistOptimizer:
         if cfg.kind not in DIST_KINDS:
             raise ValueError(f"{cfg.kind!r} is not a distributed kind")
         self.cfg = cfg
-        self.n = n
-        self.dim = dim
         if cfg.kind in ("d-adam", "d-amsgrad"):
             self.moments = MomentState.zeros((n, dim), with_vhat=cfg.kind == "d-amsgrad")
         else:

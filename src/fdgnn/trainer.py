@@ -15,13 +15,13 @@ makes learning rates directly comparable between the two.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .agents import stack_flat_params, stacked_gradients
-from .datagen import DatasetSpec, default_teacher_specs, draw_samples, make_dataset
+from .datagen import DatasetSpec, default_teacher_specs, draw_samples, make_dataset, stack_samples
 from .gcnn import LayerSpec, ParamSet, forward, init_params, mse_loss, validate_specs
 from .graphs import (
     SHIFT_VARIANTS,
@@ -109,6 +109,8 @@ class RunConfig:
             raise ValueError("need n_train >= batch >= 1 and n_test >= 1")
         if self.epochs < 1 or self.eval_every < 1:
             raise ValueError("epochs and eval_every must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.topology_mode not in TOPOLOGY_MODES:
             raise ValueError(f"unknown topology mode {self.topology_mode!r}")
         if self.topology_mode == "redraw-per-batch" and self.graph == "file":
@@ -117,16 +119,8 @@ class RunConfig:
             raise ValueError(f"unknown engine {self.engine!r}")
 
     def optimizer_config(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            kind=self.optimizer,
-            alpha=self.alpha,
-            decay=self.decay,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-            K=self.K,
-            consensus_on_v=self.consensus_on_v,
-        )
+        names = [f.name for f in fields(OptimizerConfig) if f.name != "kind"]
+        return OptimizerConfig(self.optimizer, **{name: getattr(self, name) for name in names})
 
     def dataset_spec(self, seed: int = 0) -> DatasetSpec:
         return DatasetSpec(
@@ -145,14 +139,24 @@ class RunConfig:
         return tuple(specs)
 
 
+METRICS_COLUMNS = "t,rounds,train_mse,test_mse,consensus_gap"
+
+
 @dataclass(frozen=True)
 class MetricsRecord:
     t: int
-    rounds: int
     train_mse: float
     test_mse: float
     consensus_gap: float
     ledger_snapshot: tuple[int, int, int]
+
+    @property
+    def rounds(self) -> int:
+        return self.ledger_snapshot[0]
+
+    def csv_row(self) -> str:
+        """The record's `METRICS_COLUMNS` values."""
+        return f"{self.t},{self.rounds},{self.train_mse!r},{self.test_mse!r},{self.consensus_gap!r}"
 
 
 @dataclass
@@ -160,11 +164,7 @@ class MetricsLog:
     records: list = field(default_factory=list)
 
     def to_csv(self, path: str | Path) -> None:
-        lines = ["t,rounds,train_mse,test_mse,consensus_gap"]
-        for r in self.records:
-            lines.append(
-                f"{r.t},{r.rounds},{r.train_mse!r},{r.test_mse!r},{r.consensus_gap!r}"
-            )
+        lines = [METRICS_COLUMNS] + [r.csv_row() for r in self.records]
         Path(path).write_text("\n".join(lines) + "\n")
 
     @property
@@ -256,7 +256,7 @@ def _train(config: RunConfig, setup, step, average, progress, on_update) -> Metr
                 last_good = average()
                 test_mse = evaluate_mse(last_good, shift, test)
             gap, snapshot = progress(t)
-            log.records.append(MetricsRecord(t, snapshot[0], train_mse, test_mse, gap, snapshot))
+            log.records.append(MetricsRecord(t, train_mse, test_mse, gap, snapshot))
             if on_update is not None:
                 on_update(t, state)
     return log
@@ -311,8 +311,7 @@ def train_centralized(config: RunConfig, on_update=None) -> TrainResult:
         nonlocal theta, S
         if topology is not None:
             S = topology[1].S
-        X = np.stack([s.X for s in batch])
-        Y = np.stack([s.y for s in batch])
+        X, Y = stack_samples(batch)
         th0, th1 = stack_flat_params(specs, np.broadcast_to(theta, (graph.n, theta.size)))
         res = stacked_gradients(specs, th0, th1, S, X, Y)
         theta = opt.step(theta, res.grads.sum(axis=0) / graph.n, alpha_t)

@@ -11,6 +11,11 @@ def test_gradcheck_zero_width_is_config_error(flag, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_gradcheck_negative_seed_is_config_error(capsys):
+    assert main(["gradcheck", "--seed", "-1"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def _file_args(tmp_path, graph_file):
     return [
         "train", "--graph", "file", "--graph-file", str(graph_file),

@@ -118,3 +118,27 @@ def test_bundle_round_trip(tmp_path, graph):
     for a, b in zip(samples, loaded):
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y, b.y)
+
+
+@pytest.mark.parametrize("damage", ["drop-last-label", "inf-feature", "nan-label"])
+def test_load_dataset_rejects_truncated_or_non_finite_bundle(tmp_path, graph, damage):
+    spec = DatasetSpec(n_samples=3, seed=2)
+    samples, _ = make_dataset(graph, spec)
+    bundle = tmp_path / "bundle"
+    save_dataset(samples, spec, graph.n, bundle)
+    name = "features.csv" if damage == "inf-feature" else "labels.csv"
+    lines = (bundle / name).read_text().splitlines()
+    if damage == "drop-last-label":
+        lines = lines[:-1]
+    else:
+        row = lines[1].split(",")
+        row[0] = "inf" if damage == "inf-feature" else "nan"
+        lines[1] = ",".join(row)
+    (bundle / name).write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        load_dataset(bundle)
+
+
+def test_dataset_spec_rejects_nan_noise():
+    with pytest.raises(ValueError, match="finite"):
+        DatasetSpec(n_samples=2, noise_var=float("nan"))

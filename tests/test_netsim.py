@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fdgnn import netsim
 from fdgnn.datagen import Sample
 from fdgnn.gcnn import LayerSpec, init_params
 from fdgnn.graphs import build_shift, generate_ba, metropolis_weights
@@ -263,6 +264,25 @@ def test_cost_table_formula_vs_measured():
     assert len(rows) == 5
     for row in rows:
         assert row["rounds"] == row["expected_rounds"]
+
+
+def test_cost_table_bills_the_plan_without_simulating(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("cost_table must not simulate a mini-batch")
+
+    monkeypatch.setattr(netsim, "Network", no_simulation)
+    monkeypatch.setattr(netsim, "run_minibatch", no_simulation)
+    rows = cost_table(2, 5, 2)
+    got = [(r["strategy"], r["rounds"], r["broadcasts"], r["scalars"]) for r in rows]
+    assert got == [
+        ("fwd-only", 10, 40, 40),
+        ("naive-per-sample", 25, 100, 220),
+        ("per-batch-consensus", 17, 68, 92),
+        ("piggyback-consensus", 13, 52, 92),
+        ("piggyback-do", 11, 44, 80),
+    ]
+    assert all((r["L"], r["B"], r["K"]) == (2, 5, 2) for r in rows)
+    assert all(r["rounds"] == r["expected_rounds"] for r in rows)
 
 
 def test_ledger_report_and_csv(tmp_path):

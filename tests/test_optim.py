@@ -273,6 +273,16 @@ def test_config_validation():
     OptimizerConfig("central-sgd", alpha=0.0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("alpha", np.nan), ("alpha", np.inf), ("decay", np.nan), ("decay", np.inf),
+     ("epsilon", np.nan), ("epsilon", np.inf), ("epsilon", -1e-8)],
+)
+def test_config_rejects_non_finite_or_negative_numbers(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        OptimizerConfig("d-amsgrad", **{field: value})
+
+
 def test_dist_optimizer_wiring():
     cfg = OptimizerConfig("d-amsgrad", alpha=0.1)
     opt = DistOptimizer(cfg, 4, 6)

@@ -165,6 +165,12 @@ RUN = ["--n", "8", "--n-train", "8", "--batch", "4", "--epochs", "1"]
         ("train", ["--graph", "er", "--p", "2"]),
         ("train", ["--shift", "foo"]),
         ("compare", ["--lr", "-1"]),
+        ("train", ["--lr", "nan"]),
+        ("train", ["--lr", "inf"]),
+        ("train", ["--lr-decay", "nan"]),
+        ("train", ["--lr-decay", "inf"]),
+        ("train", ["--noise-var", "nan"]),
+        ("train", ["--seed", "-1"]),
     ],
 )
 def test_bad_run_flags_exit_config_error(tmp_path, capsys, command, flags):
