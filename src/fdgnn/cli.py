@@ -1,17 +1,16 @@
 """Command-line entry point: run training, compare methods, report costs, gradient check.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical aborts.
-The FDGNN_THREADS environment variable caps `compare`'s worker threads.
+`compare` runs one worker thread per usable CPU, up to one per method; FDGNN_THREADS overrides.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +18,10 @@ import numpy as np
 from .agents import stack_flat_params, stacked_gradients
 from .gcnn import ParamSet, central_gradient, forward, init_params, mse_loss, save_params
 from .graphs import build_shift, generate_er
-from .netsim import ENGINES, cost_table, write_ledger_csv, write_trace_csv
+from .netsim import cost_table, write_ledger_csv, write_trace_csv
 from .optim import CENTRAL_KINDS
 from .trainer import (
-    GRAPH_KINDS,
+    CHOICES,
     METRICS_COLUMNS,
     RunConfig,
     TrainingDiverged,
@@ -49,58 +48,50 @@ class ConfigError(ValueError):
     pass
 
 
+# Run flags are `--` plus the RunConfig field name with dashes, except these.
+_RENAMED = {"alpha": "--lr", "decay": "--lr-decay", "track_trace": "--trace"}
+_FILE_ONLY = ("beta1", "beta2", "epsilon", "consensus_on_v")
+_ARGPARSE_CHOICES = ("graph", "engine")  # validate checks the other CHOICES fields
+# Per RunConfig field annotation: its flag's argparse keywords, and the exact
+# JSON types a config-file value may have, so a bool is never taken for a number.
+_FIELD_TYPES = {
+    "int": ({"type": int}, (int,)), "float": ({"type": float}, (int, float)),
+    "str": ({}, (str,)), "str | None": ({}, (str, type(None))),
+    "bool": ({"action": "store_true"}, (bool,)),
+}
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--graph", choices=GRAPH_KINDS)
-    parser.add_argument("--graph-file", dest="graph_file")
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--p", type=float)
-    parser.add_argument("--shift")
-    parser.add_argument("--layers", type=int)
-    parser.add_argument("--hidden", type=int)
-    parser.add_argument("--n-train", dest="n_train", type=int)
-    parser.add_argument("--n-test", dest="n_test", type=int)
-    parser.add_argument("--noise-var", dest="noise_var", type=float)
-    parser.add_argument("--teacher-hidden", dest="teacher_hidden", type=int)
-    parser.add_argument("--optimizer")
-    parser.add_argument("--strategy")
-    parser.add_argument("--batch", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--lr", dest="alpha", type=float)
-    parser.add_argument("--lr-decay", dest="decay", type=float)
-    parser.add_argument("--K", dest="K", type=int)
-    parser.add_argument("--eval-every", dest="eval_every", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--topology-mode", dest="topology_mode")
-    parser.add_argument("--engine", choices=ENGINES)
-    parser.add_argument("--trace", action="store_true", default=None,
-                        help="also export the per-round message-size trace")
+    for f in fields(RunConfig):
+        if f.name not in _FILE_ONLY:
+            parser.add_argument(
+                _RENAMED.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name, default=None,
+                help=f.metadata.get("help"), **_FIELD_TYPES[f.type][0],
+                **({"choices": CHOICES[f.name]} if f.name in _ARGPARSE_CHOICES else {}),
+            )
     parser.add_argument("--out", default="out", help="output directory")
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then explicit flags."""
-    merged = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    types = {f.name: f.type for f in fields(RunConfig)}
+    values = {}
     if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            data = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}") from err
-        unknown = set(data) - set(merged)
+            values = json.loads(Path(args.config).read_text())
+        except (OSError, json.JSONDecodeError) as err:
+            raise ConfigError(f"cannot read config file {args.config}: {err}") from err
+        if not isinstance(values, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {values!r}")
+        unknown = set(values) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(data)
-    for name in merged:
-        value = getattr(args, name, None)
-        if name == "track_trace":
-            value = getattr(args, "trace", None)
-        if value is not None:
-            merged[name] = value
-    cfg = RunConfig(**merged)
+        for name, value in values.items():
+            if type(value) not in _FIELD_TYPES[types[name]][1]:
+                raise ConfigError(f"config key {name!r} must be {types[name]}, got {value!r}")
+    values.update((k, v) for k, v in vars(args).items() if k in types and v is not None)
+    cfg = RunConfig(**values)
     try:
         cfg.validate()
     except ValueError as err:
@@ -153,7 +144,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = build_config(args)
     env = os.environ.get("FDGNN_THREADS")
-    workers = len(COMPARE_METHODS)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(COMPARE_METHODS), cpus or 1)
     if env:
         try:
             workers = max(1, int(env))

@@ -26,6 +26,7 @@ from .gcnn import LayerSpec, ParamSet, forward, init_params, mse_loss, validate_
 from .graphs import (
     SHIFT_VARIANTS,
     Graph,
+    GraphGenerationError,
     build_shift,
     generate_ba,
     generate_er,
@@ -35,8 +36,9 @@ from .graphs import (
 from .netsim import ENGINES, Network, check_pairing, expected_rounds, run_minibatch, strategy_of
 from .optim import CENTRAL_KINDS, DIST_KINDS, CentralOptimizer, OptimizerConfig
 
-GRAPH_KINDS = ("ba", "er", "file")
-TOPOLOGY_MODES = ("fixed", "redraw-per-batch")
+# The allowed values of each `RunConfig` field that names one of a fixed set.
+CHOICES = {"graph": ("ba", "er", "file"), "shift": SHIFT_VARIANTS,
+           "topology_mode": ("fixed", "redraw-per-batch"), "engine": ENGINES}
 
 
 class TrainingDiverged(RuntimeError):
@@ -79,26 +81,20 @@ class RunConfig:
     seed: int = 0
     topology_mode: str = "fixed"
     engine: str = "stacked"
-    track_trace: bool = False
+    track_trace: bool = field(
+        default=False, metadata={"help": "also export the per-round message-size trace"}
+    )
 
-    def validate(self) -> None:
-        """Reject a bad configuration before anything runs. The optimizer
-        config, model specs and dataset spec check their own fields."""
-        if self.graph not in GRAPH_KINDS:
-            raise ValueError(f"unknown graph kind {self.graph!r}")
-        if self.graph == "file":
-            if not self.graph_file:
-                raise ValueError("graph kind 'file' needs graph_file")
-            try:
-                _build_graph(self, self.seed)
-            except OSError as err:
-                raise ValueError(f"cannot read graph file {self.graph_file}: {err}") from err
-        if self.graph == "ba" and not self.n > self.m >= 1:
-            raise ValueError(f"need n > m >= 1, got n={self.n}, m={self.m}")
-        if self.graph == "er" and not (self.n >= 2 and 0.0 < self.p <= 1.0):
-            raise ValueError(f"need n >= 2 and p in (0, 1], got n={self.n}, p={self.p}")
-        if self.shift not in SHIFT_VARIANTS:
-            raise ValueError(f"unknown shift variant {self.shift!r}")
+    def validate(self) -> Graph:
+        """Reject a bad configuration before anything runs, and return the
+        run's graph, drawn with its own graph seed or read from its file. The
+        graph generators, optimizer config, model specs and dataset spec
+        check their own fields."""
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
+        if self.graph == "file" and not self.graph_file:
+            raise ValueError("graph kind 'file' needs graph_file")
         if not strategy_of(self.strategy).kinds:
             raise ValueError(f"{self.strategy} is an accounting baseline, not a training strategy")
         opt = self.optimizer_config()
@@ -109,14 +105,14 @@ class RunConfig:
             raise ValueError("need n_train >= batch >= 1 and n_test >= 1")
         if self.epochs < 1 or self.eval_every < 1:
             raise ValueError("epochs and eval_every must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.topology_mode not in TOPOLOGY_MODES:
-            raise ValueError(f"unknown topology mode {self.topology_mode!r}")
         if self.topology_mode == "redraw-per-batch" and self.graph == "file":
             raise ValueError("cannot redraw topology for a fixed graph file")
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        try:
+            return _build_graph(self, _spawn_seeds(self.seed, 4)[0])
+        except (OSError, GraphGenerationError) as err:
+            raise ValueError(f"cannot build the {self.graph} graph: {err}") from err
 
     def optimizer_config(self) -> OptimizerConfig:
         names = [f.name for f in fields(OptimizerConfig) if f.name != "kind"]
@@ -203,9 +199,8 @@ def evaluate_mse(params: ParamSet, shift, samples) -> float:
 
 
 def _setup(config: RunConfig):
-    config.validate()
-    graph_seed, data_seed, init_seed, redraw_seed = _spawn_seeds(config.seed, 4)
-    graph = _build_graph(config, graph_seed)
+    graph = config.validate()
+    _, data_seed, init_seed, redraw_seed = _spawn_seeds(config.seed, 4)
     shift = build_shift(graph, config.shift)
     dspec = config.dataset_spec(data_seed)
     samples, teacher = make_dataset(graph, dspec, config.shift)

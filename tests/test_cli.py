@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from fdgnn.cli import main
+from fdgnn.cli import main, make_parser
 
 
 def _train_args(tmp_path, *extra):
@@ -172,3 +173,63 @@ def test_compare_bad_threads_env(tmp_path, monkeypatch):
     rc = main(["compare", "--n", "8", "--n-train", "8", "--n-test", "4",
                "--batch", "4", "--epochs", "1", "--out", str(tmp_path)])
     assert rc == 2
+
+
+# Every run flag: option string -> (action, dest, type, default, choices).
+RUN_FLAGS = {
+    "--config": ("_StoreAction", "config", None, None, None),
+    "--graph": ("_StoreAction", "graph", None, None, ("ba", "er", "file")),
+    "--graph-file": ("_StoreAction", "graph_file", None, None, None),
+    "--n": ("_StoreAction", "n", int, None, None),
+    "--m": ("_StoreAction", "m", int, None, None),
+    "--p": ("_StoreAction", "p", float, None, None),
+    "--shift": ("_StoreAction", "shift", None, None, None),
+    "--layers": ("_StoreAction", "layers", int, None, None),
+    "--hidden": ("_StoreAction", "hidden", int, None, None),
+    "--n-train": ("_StoreAction", "n_train", int, None, None),
+    "--n-test": ("_StoreAction", "n_test", int, None, None),
+    "--noise-var": ("_StoreAction", "noise_var", float, None, None),
+    "--teacher-hidden": ("_StoreAction", "teacher_hidden", int, None, None),
+    "--optimizer": ("_StoreAction", "optimizer", None, None, None),
+    "--strategy": ("_StoreAction", "strategy", None, None, None),
+    "--batch": ("_StoreAction", "batch", int, None, None),
+    "--epochs": ("_StoreAction", "epochs", int, None, None),
+    "--lr": ("_StoreAction", "alpha", float, None, None),
+    "--lr-decay": ("_StoreAction", "decay", float, None, None),
+    "--K": ("_StoreAction", "K", int, None, None),
+    "--eval-every": ("_StoreAction", "eval_every", int, None, None),
+    "--seed": ("_StoreAction", "seed", int, None, None),
+    "--topology-mode": ("_StoreAction", "topology_mode", None, None, None),
+    "--engine": ("_StoreAction", "engine", None, None, ("agents", "stacked")),
+    "--trace": ("_StoreTrueAction", "track_trace", None, None, None),
+    "--out": ("_StoreAction", "out", None, "out", None),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_run_flag_surface_is_pinned(command):
+    sub = next(a for a in make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {}
+    for action in sub.choices[command]._actions:
+        if action.dest == "help":
+            continue
+        (option,) = action.option_strings
+        choices = tuple(action.choices) if action.choices is not None else None
+        flags[option] = (type(action).__name__, action.dest, action.type, action.default, choices)
+    assert flags == RUN_FLAGS
+    dests = {dest for _, dest, *_ in flags.values()}
+    assert not dests & {"beta1", "beta2", "epsilon", "consensus_on_v"}
+
+
+def _compare_outputs(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("FDGNN_THREADS", threads)
+    out = tmp_path / threads
+    assert main(["compare", "--n", "12", "--n-train", "8", "--n-test", "4", "--batch", "4",
+                 "--epochs", "2", "--hidden", "3", "--eval-every", "1", "--seed", "3",
+                 "--out", str(out)]) == 0
+    return capsys.readouterr().out, (out / "compare.csv").read_bytes()
+
+
+def test_compare_outputs_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys):
+    one = _compare_outputs(tmp_path, monkeypatch, capsys, "1")
+    assert one == _compare_outputs(tmp_path, monkeypatch, capsys, "7")

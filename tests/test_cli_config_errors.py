@@ -43,3 +43,32 @@ def test_train_good_graph_file_runs(tmp_path):
     save_edge_list(generate_ba(8, 2, 0), path)
     assert main(_file_args(tmp_path, path)) == 0
     assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+def _config_args(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return ["train", "--config", str(path), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": "30"}', '{"alpha": "0.1"}', '{"n": 30.0}', '{"seed": 1.5}',
+     '{"track_trace": "yes"}', "5", "null"],
+)
+def test_train_mistyped_config_file_is_config_error(tmp_path, capsys, text):
+    assert main(_config_args(tmp_path, text)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_config_file_int_for_float_field_runs(tmp_path):
+    text = '{"noise_var": 0, "n": 8, "n_train": 8, "n_test": 4, "batch": 4, "epochs": 1}'
+    assert main(_config_args(tmp_path, text)) == 0
+    assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_train_config_path_that_is_a_directory_is_config_error(tmp_path, capsys):
+    assert main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

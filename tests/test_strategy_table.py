@@ -171,6 +171,7 @@ RUN = ["--n", "8", "--n-train", "8", "--batch", "4", "--epochs", "1"]
         ("train", ["--lr-decay", "inf"]),
         ("train", ["--noise-var", "nan"]),
         ("train", ["--seed", "-1"]),
+        ("train", ["--graph", "er", "--p", "0.01"]),
     ],
 )
 def test_bad_run_flags_exit_config_error(tmp_path, capsys, command, flags):

@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fdgnn import trainer
+from fdgnn.graphs import generate_ba, load_edge_list, save_edge_list
 from fdgnn.trainer import (
     MetricsLog,
     RunConfig,
     TrainingDiverged,
+    _setup,
     evaluate_mse,
     train_centralized,
     train_distributed,
@@ -162,3 +165,27 @@ def test_benchmark_moving_average_trend(benchmark_runs):
     diffs = np.diff(half)
     frac_up = float(np.mean(diffs > 1e-12))
     assert frac_up <= 0.05
+
+
+def _file_config(tmp_path, **overrides):
+    path = tmp_path / "graph.txt"
+    save_edge_list(generate_ba(8, 2, 11), path)
+    return tiny_config(graph="file", graph_file=str(path), **overrides)
+
+
+@pytest.mark.parametrize("graph", ["ba", "er", "file"])
+def test_validate_returns_the_run_graph(tmp_path, graph):
+    cfg = _file_config(tmp_path) if graph == "file" else tiny_config(graph=graph, p=0.6)
+    assert cfg.validate().edges == _setup(cfg)[0].edges
+
+
+def test_run_reads_its_graph_file_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return load_edge_list(path)
+
+    monkeypatch.setattr(trainer, "load_edge_list", counting_load)
+    train_distributed(_file_config(tmp_path, epochs=1))
+    assert len(calls) == 1
