@@ -31,7 +31,7 @@ from .gcnn import (
     num_params,
     param_slices,
 )
-from .graphs import Graph, ShiftOperator, metropolis_row
+from .graphs import Graph, ShiftOperator, as_matrix, metropolis_row
 
 
 class ProtocolError(RuntimeError):
@@ -251,11 +251,13 @@ def local_gradient(state: AgentState) -> np.ndarray:
 def make_agents(graph: Graph, shift: ShiftOperator, params: ParamSet) -> list[AgentState]:
     """One agent per node, each with its own shift row and its own parameter
     copy: weight views of its row of one (n, dim) array."""
-    S = shift.S
+    S = as_matrix(shift)
     th0, th1 = stack_flat_params(params.specs, np.tile(params.flatten(), (graph.n, 1)))
     agents = []
     for i in range(graph.n):
-        row = {j: float(S[i, j]) for j in (i, *graph.neighbors(i))}
+        cols = sorted((i, *graph.neighbors(i)))  # a CSR row holds exactly these
+        vals = S[i, cols] if isinstance(S, np.ndarray) else S.data[S.indptr[i] : S.indptr[i + 1]]
+        row = dict(zip(cols, vals.tolist()))
         nbr_deg = {j: graph.degree(j) for j in graph.neighbors(i)}
         own = ParamSet(params.specs, [t[i] for t in th0], [t[i] for t in th1])
         agents.append(AgentState(i, own, row, nbr_deg, graph.degree(i)))
@@ -272,7 +274,7 @@ def stacked_gradients(
     specs,
     theta0_stack,
     theta1_stack,
-    S: np.ndarray,
+    S,
     X: np.ndarray,
     y: np.ndarray | None,
     per_sample: bool = False,
@@ -281,7 +283,8 @@ def stacked_gradients(
     """Bulk-synchronous execution of every node's local forward/backward steps.
 
     theta*_stack hold each node's own weight copy, one (n, g_in, g_out) array
-    per layer; nodes may hold different copies. X is (B, n, g0), y is (B, n).
+    per layer; nodes may hold different copies. S is a `ShiftOperator` or its
+    dense or CSR matrix. X is (B, n, g0), y is (B, n).
     Gradients are per-node flattened sensitivities of the summed per-node
     losses, summed over the batch unless per_sample is set.
 
@@ -289,10 +292,11 @@ def stacked_gradients(
     and yhat once on exit. The aggregation S @ x is then one matrix product
     over the (n, B*width) view for the whole batch, the per-node weights are
     a matmul batched over nodes, and the backward neighbour term is S.T @ msg
-    on the same view (S.T is a view that BLAS reads transposed).
+    on the same view (S.T is a view that BLAS reads transposed; of a CSR S,
+    it is the CSC view of the same arrays).
     """
     specs = tuple(specs)
-    S = np.asarray(S, dtype=np.float64)
+    S = as_matrix(S)
     X = np.asarray(X, dtype=np.float64)
     n = S.shape[0]
     B = X.shape[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .agents import stack_flat_params, stacked_gradients
 from .gcnn import ParamSet, central_gradient, forward, init_params, mse_loss, save_params
-from .graphs import build_shift, generate_er
+from .graphs import Graph, build_shift, generate_er
 from .netsim import cost_table, write_ledger_csv, write_trace_csv
 from .optim import CENTRAL_KINDS
 from .trainer import (
@@ -73,8 +73,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory")
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config-file values, then explicit flags."""
+def build_config(args: argparse.Namespace) -> tuple[RunConfig, Graph]:
+    """Defaults, then config-file values, then explicit flags; returns the
+    validated config and the run graph that validation drew."""
     types = {f.name: f.type for f in fields(RunConfig)}
     values = {}
     if args.config:
@@ -93,24 +94,22 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values.update((k, v) for k, v in vars(args).items() if k in types and v is not None)
     cfg = RunConfig(**values)
     try:
-        cfg.validate()
+        return cfg, cfg.validate()
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    return cfg
 
 
-def _run_one(cfg: RunConfig):
-    if cfg.optimizer in CENTRAL_KINDS:
-        return train_centralized(cfg)
-    return train_distributed(cfg)
+def _run_one(cfg: RunConfig, graph: Graph):
+    train = train_centralized if cfg.optimizer in CENTRAL_KINDS else train_distributed
+    return train(cfg, graph=graph)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
+    cfg, graph = build_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        result = _run_one(cfg)
+        result = _run_one(cfg, graph)
     except TrainingDiverged as err:
         save_params(err.last_params, out / "checkpoint.json")
         print(f"aborted: {err} (last finite checkpoint written)", file=sys.stderr)
@@ -142,7 +141,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
+    cfg, graph = build_config(args)
     env = os.environ.get("FDGNN_THREADS")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(COMPARE_METHODS), cpus or 1)
@@ -157,7 +156,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     def run(method):
         name, kind, strategy = method
         run_cfg = replace(cfg, optimizer=kind, strategy=strategy or cfg.strategy)
-        return name, _run_one(run_cfg)
+        return name, _run_one(run_cfg, graph)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(run, COMPARE_METHODS))
@@ -223,7 +222,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     y = rng.normal(size=graph.n)
     theta = params.flatten()
     th0, th1 = stack_flat_params(specs, np.tile(theta, (graph.n, 1)))
-    local = stacked_gradients(specs, th0, th1, shift.S, X[None], y[None]).grads
+    local = stacked_gradients(specs, th0, th1, shift, X[None], y[None]).grads
     averaged = local.mean(axis=0)
     dense = central_gradient(params, shift, X, y)
     fd = _finite_difference(specs, theta, shift, X, y)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .gcnn import LayerSpec, forward, init_params
-from .graphs import Graph, build_shift
+from .graphs import Graph, as_matrix, build_shift
 
 FEATURE_KINDS = ("uniform", "normal", "binary", "one-hot")
 
@@ -89,7 +89,7 @@ def draw_features(plan, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def draw_samples(teacher, shift, spec: DatasetSpec, count: int, rng: np.random.Generator) -> list[Sample]:
     """Draw `count` samples of (features, teacher output + noise) on one topology."""
-    n = shift.S.shape[0]
+    n = as_matrix(shift).shape[0]
     sigma = np.sqrt(spec.noise_var)
     samples = []
     for _ in range(count):

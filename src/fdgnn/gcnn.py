@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import ShiftOperator
+from .graphs import as_matrix
 
 ACTIVATIONS = ("identity", "relu", "leaky-relu", "tanh")
 
@@ -176,18 +176,16 @@ class Activations:
     a: list = field(default_factory=list)
 
 
-def _shift_matrix(shift) -> np.ndarray:
-    return shift.S if isinstance(shift, ShiftOperator) else np.asarray(shift)
-
-
 def forward(params: ParamSet, shift, X: np.ndarray):
     """Run all layers; returns the prediction column and the cached activations.
 
     X is (n, g0) for one sample or (B, n, g0) for a batch, giving an (n,) or
     a (B, n) prediction; each sample of a batch goes through the same matrix
-    products as it would alone.
+    products as it would alone. A CSR shift aggregates a batch in one product
+    over the node-major (n, B*g) view; CSR products add each output column on
+    its own, so that too is bitwise the per-sample result.
     """
-    S = _shift_matrix(shift)
+    S = as_matrix(shift)
     X = np.asarray(X, dtype=np.float64)
     n, g0 = S.shape[0], params.specs[0].g_in
     if X.ndim not in (2, 3) or X.shape[-2:] != (n, g0):
@@ -197,7 +195,10 @@ def forward(params: ParamSet, shift, X: np.ndarray):
     acts = Activations(x=[X])
     cur = X
     for spec, t0, t1 in zip(params.specs, params.theta0, params.theta1):
-        agg = np.matmul(S, cur)
+        if cur.ndim == 3 and not isinstance(S, np.ndarray):
+            agg = (S @ cur.transpose(1, 0, 2).reshape(n, -1)).reshape(n, len(cur), -1).transpose(1, 0, 2)
+        else:
+            agg = S @ cur
         h = cur @ t0 + agg @ t1
         acts.a.append(agg)
         acts.h.append(h)
@@ -222,7 +223,7 @@ def mse_loss(y: np.ndarray, yhat: np.ndarray) -> float:
 
 def central_gradient(params: ParamSet, shift, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact flat gradient of mse_loss(forward(...)) via dense backpropagation."""
-    S = _shift_matrix(shift)
+    S = as_matrix(shift)
     y = np.asarray(y, dtype=np.float64)
     yhat, acts = forward(params, shift, X)
     if y.shape != yhat.shape:

@@ -75,19 +75,43 @@ class Graph:
         return len(seen) == self.n
 
 
+class _Stored:
+    """An n x n matrix held as `matrix`: a dense array, or on a sparse graph a
+    scipy `csr_array` whose `indptr`, `indices` and `data` buffers are also
+    plain array attributes, so that counts of held arrays see them."""
+
+    def __post_init__(self):
+        if not isinstance(m := self.matrix, np.ndarray):
+            vars(self).update(indptr=m.indptr, indices=m.indices, data=m.data)
+
+    def dense(self) -> np.ndarray:
+        """The dense array; built on each read when the matrix is CSR."""
+        return self.matrix if isinstance(self.matrix, np.ndarray) else self.matrix.toarray()
+
+
+def as_matrix(m):
+    """The matrix a product uses: a stored operator's own form, a scipy
+    sparse matrix as it is, and anything else as a float64 array."""
+    if isinstance(m, _Stored):
+        return m.matrix
+    return m if hasattr(m, "tocsr") else np.asarray(m, dtype=np.float64)
+
+
 @dataclass(frozen=True)
-class ShiftOperator:
-    """Dense n x n mixing matrix whose support is restricted to closed neighborhoods."""
+class ShiftOperator(_Stored):
+    """Mixing matrix whose support is restricted to closed neighborhoods."""
 
     variant: str
-    S: np.ndarray
+    matrix: object
+    S = property(_Stored.dense)
 
 
 @dataclass(frozen=True)
-class ConsensusWeights:
+class ConsensusWeights(_Stored):
     """Doubly stochastic neighbor-averaging matrix."""
 
-    W: np.ndarray
+    matrix: object
+    W = property(_Stored.dense)
 
 
 def generate_ba(n: int, m: int, seed: int) -> Graph:
@@ -133,13 +157,34 @@ def generate_er(n: int, p: float, seed: int, max_tries: int = 100) -> Graph:
     )
 
 
+def _matrix(n: int, i, j, w, diag=None):
+    """The symmetric matrix with w on the edges (i, j) and `diag` on the
+    diagonal (None: one minus the row's off-diagonal sum). It is CSR, with
+    every diagonal entry stored, when the graph is sparse: its closed
+    neighbourhoods hold at most n^2/16 entries. Only then is scipy imported.
+    """
+    w = np.broadcast_to(w, i.shape)
+    if 16 * (n + 2 * len(i)) > n * n:
+        M = np.zeros((n, n))
+        M[i, j] = w
+        M[j, i] = w
+        np.fill_diagonal(M, 1.0 - M.sum(axis=1) if diag is None else diag)
+        return M
+    from scipy.sparse import csr_array
+
+    if diag is None:
+        diag = 1.0 - np.bincount(np.concatenate([i, j]), np.concatenate([w, w]), n)
+    k = np.arange(n)
+    entries = np.concatenate([w, w, np.broadcast_to(diag, k.shape)])
+    return csr_array((entries, (np.concatenate([i, j, k]), np.concatenate([j, i, k]))), shape=(n, n))
+
+
 def build_shift(g: Graph, variant: str = "normalized-adjacency") -> ShiftOperator:
     """Build the requested mixing matrix straight from the edge list."""
     if variant not in SHIFT_VARIANTS:
         raise ValueError(f"unknown shift variant {variant!r}")
     i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     d = g.degrees.astype(np.float64)
-    S = np.zeros((g.n, g.n))
     if variant.startswith("normalized"):
         with np.errstate(divide="ignore"):
             dinv = np.where(d > 0, d, 1.0) ** -0.5
@@ -147,12 +192,11 @@ def build_shift(g: Graph, variant: str = "normalized-adjacency") -> ShiftOperato
         w = dinv[i] * dinv[j]
     else:
         w = 1.0
+    diag = 0.0
     if variant.endswith("laplacian"):
         w = -w
-        np.fill_diagonal(S, 1.0 if variant == "normalized-laplacian" else d)
-    S[i, j] = w
-    S[j, i] = w
-    return ShiftOperator(variant, S)
+        diag = 1.0 if variant == "normalized-laplacian" else d
+    return ShiftOperator(variant, _matrix(g.n, i, j, w, diag))
 
 
 def metropolis_weights(g: Graph) -> ConsensusWeights:
@@ -163,12 +207,7 @@ def metropolis_weights(g: Graph) -> ConsensusWeights:
     """
     i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     d = g.degrees
-    w = 1.0 / (1.0 + np.maximum(d[i], d[j]))
-    W = np.zeros((g.n, g.n))
-    W[i, j] = w
-    W[j, i] = w
-    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
-    return ConsensusWeights(W)
+    return ConsensusWeights(_matrix(g.n, i, j, 1.0 / (1.0 + np.maximum(d[i], d[j]))))
 
 
 def metropolis_row(degree: int, neighbor_degrees: dict[int, int]) -> dict[int, float]:

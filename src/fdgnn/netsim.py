@@ -421,14 +421,14 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
         alpha_t = cfg.alpha * cfg.decay**net.t
 
     thetas = net.theta
-    psi = net.optimizer.mix(thetas, net.weights.W) if st.kinds else thetas
+    psi = net.optimizer.mix(thetas, net.weights) if st.kinds else thetas
 
     execute = _execute_agents if engine == "agents" else _execute_stacked
     grads, psg, yhat, proto = execute(net, cost.plan, X, Y, psi)
 
     if st.kinds:
         step_grads = grads if psg is None else psg
-        net.theta = net.optimizer.apply(thetas, psi, net.weights.W, step_grads, alpha_t)
+        net.theta = net.optimizer.apply(thetas, psi, net.weights, step_grads, alpha_t)
     delta = CommLedger(trace_enabled=net.ledger.trace_enabled)
     for ledger in (net.ledger, delta):
         ledger.add_plan(n, cost)
@@ -516,7 +516,7 @@ def _execute_agents(net, plan, X, Y, psi):
 
 def _execute_stacked(net, plan, X, Y, psi):
     """Vectorized execution: the agents' arithmetic without message objects."""
-    specs, S = net.specs, net.shift.S
+    specs, S = net.specs, net.shift
     th0, th1 = stack_flat_params(specs, psi)
     st = STRATEGY[plan.strategy]
     if not st.kinds:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ConsensusWeights
+from .graphs import as_matrix
 
 CENTRAL_KINDS = ("central-sgd", "central-adam")
 DIST_KINDS = ("d-naive", "d-sgd", "d-adam", "d-amsgrad")
@@ -72,14 +72,10 @@ class MomentState:
         )
 
 
-def _weight_matrix(W) -> np.ndarray:
-    return W.W if isinstance(W, ConsensusWeights) else np.asarray(W)
-
-
 def consensus_round(values: np.ndarray, W) -> np.ndarray:
     """One neighbor-averaging round; preserves the mean exactly for doubly
     stochastic weights."""
-    Wm = _weight_matrix(W)
+    Wm = as_matrix(W)
     values = np.asarray(values, dtype=np.float64)
     if values.shape[0] != Wm.shape[0]:
         raise ValueError(

@@ -85,11 +85,12 @@ class RunConfig:
         default=False, metadata={"help": "also export the per-round message-size trace"}
     )
 
-    def validate(self) -> Graph:
+    def validate(self, graph: Graph | None = None) -> Graph:
         """Reject a bad configuration before anything runs, and return the
-        run's graph, drawn with its own graph seed or read from its file. The
-        graph generators, optimizer config, model specs and dataset spec
-        check their own fields."""
+        run's graph: `graph` when given (what an earlier call returned), else
+        drawn with its own graph seed or read from its file. The graph
+        generators, optimizer config, model specs and dataset spec check
+        their own fields."""
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
@@ -109,6 +110,8 @@ class RunConfig:
             raise ValueError("cannot redraw topology for a fixed graph file")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if graph is not None:
+            return graph
         try:
             return _build_graph(self, _spawn_seeds(self.seed, 4)[0])
         except (OSError, GraphGenerationError) as err:
@@ -198,8 +201,8 @@ def evaluate_mse(params: ParamSet, shift, samples) -> float:
     return sum(mse_loss(s.y, row) for s, row in zip(samples, yhat)) / len(samples)
 
 
-def _setup(config: RunConfig):
-    graph = config.validate()
+def _setup(config: RunConfig, graph: Graph | None = None):
+    graph = config.validate(graph)
     _, data_seed, init_seed, redraw_seed = _spawn_seeds(config.seed, 4)
     shift = build_shift(graph, config.shift)
     dspec = config.dataset_spec(data_seed)
@@ -257,17 +260,18 @@ def _train(config: RunConfig, setup, step, average, progress, on_update) -> Metr
     return log
 
 
-def train_distributed(config: RunConfig, on_update=None) -> TrainResult:
+def train_distributed(config: RunConfig, on_update=None, graph=None) -> TrainResult:
     """Run the full synchronous-round protocol for `epochs` passes.
 
     Returns the (n, dim) per-node parameter array, its node average, and the
     metrics log. Test evaluation uses the node-average parameters in a dense
     forward pass; it is instrumentation, not part of the protocol.
-    on_update(t, net) receives the Network.
+    on_update(t, net) receives the Network. `graph`, when given, is the one
+    `config.validate()` returned, so it is not drawn or read again.
     """
     if config.optimizer in CENTRAL_KINDS:
         raise ValueError("use train_centralized for the centralized kinds")
-    setup = _setup(config)
+    setup = _setup(config, graph)
     graph, shift, _, _, _, _, _, params0, _ = setup
     net = Network(
         graph, shift, metropolis_weights(graph), params0, config.optimizer_config(),
@@ -287,28 +291,28 @@ def train_distributed(config: RunConfig, on_update=None) -> TrainResult:
     return TrainResult(net.theta, net.mean_params(), log, net.ledger)
 
 
-def train_centralized(config: RunConfig, on_update=None) -> TrainResult:
+def train_centralized(config: RunConfig, on_update=None, graph=None) -> TrainResult:
     """Mini-batch baseline on a single shared parameter vector.
 
     The gradient is the stacked kernel's node mean with every node holding
     the same weights. The round axis charges L*B forward-pass rounds per
-    mini-batch. on_update(t, theta) receives the flat parameter vector.
+    mini-batch. on_update(t, theta) receives the flat parameter vector;
+    `graph` is as in `train_distributed`.
     """
     if config.optimizer not in CENTRAL_KINDS:
         raise ValueError("use train_distributed for the distributed kinds")
-    setup = _setup(config)
+    setup = _setup(config, graph)
     graph, shift, _, _, _, _, specs, params0, _ = setup
     opt = CentralOptimizer(config.optimizer_config(), params0.dim)
     theta = params0.flatten()
-    S = shift.S
 
     def step(batch, topology, alpha_t):
-        nonlocal theta, S
+        nonlocal theta, shift
         if topology is not None:
-            S = topology[1].S
+            shift = topology[1]
         X, Y = stack_samples(batch)
         th0, th1 = stack_flat_params(specs, np.broadcast_to(theta, (graph.n, theta.size)))
-        res = stacked_gradients(specs, th0, th1, S, X, Y)
+        res = stacked_gradients(specs, th0, th1, shift, X, Y)
         theta = opt.step(theta, res.grads.sum(axis=0) / graph.n, alpha_t)
         return float(np.mean((res.yhat - Y) ** 2)), theta
 

@@ -233,3 +233,39 @@ def _compare_outputs(tmp_path, monkeypatch, capsys, threads):
 def test_compare_outputs_do_not_depend_on_worker_count(tmp_path, monkeypatch, capsys):
     one = _compare_outputs(tmp_path, monkeypatch, capsys, "1")
     assert one == _compare_outputs(tmp_path, monkeypatch, capsys, "7")
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_train_and_compare_draw_the_graph_once(tmp_path, monkeypatch):
+    from fdgnn import trainer
+
+    calls = _count_calls(monkeypatch, trainer, "generate_ba")
+    assert main(_train_args(tmp_path)) == 0
+    assert len(calls) == 1
+    calls.clear()
+    argv = _train_args(tmp_path, "--epochs", "1")
+    argv[0] = "compare"
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+def test_train_reads_the_graph_file_once(tmp_path, monkeypatch):
+    from fdgnn import trainer
+    from fdgnn.graphs import generate_ba, save_edge_list
+
+    path = tmp_path / "graph.txt"
+    save_edge_list(generate_ba(8, 2, 11), path)
+    calls = _count_calls(monkeypatch, trainer, "load_edge_list")
+    assert main(_train_args(tmp_path, "--graph", "file", "--graph-file", str(path))) == 0
+    assert len(calls) == 1
