@@ -255,9 +255,9 @@ def make_agents(graph: Graph, shift: ShiftOperator, params: ParamSet) -> list[Ag
     th0, th1 = stack_flat_params(params.specs, np.tile(params.flatten(), (graph.n, 1)))
     agents = []
     for i in range(graph.n):
-        cols = sorted((i, *graph.neighbors(i)))  # a CSR row holds exactly these
-        vals = S[i, cols] if isinstance(S, np.ndarray) else S.data[S.indptr[i] : S.indptr[i + 1]]
-        row = dict(zip(cols, vals.tolist()))
+        cols = sorted((i, *graph.neighbors(i)))
+        # A (row, column) gather reads a dense and a CSR matrix alike.
+        row = dict(zip(cols, S[[i] * len(cols), cols].tolist()))
         nbr_deg = {j: graph.degree(j) for j in graph.neighbors(i)}
         own = ParamSet(params.specs, [t[i] for t in th0], [t[i] for t in th1])
         agents.append(AgentState(i, own, row, nbr_deg, graph.degree(i)))
@@ -267,7 +267,7 @@ def make_agents(graph: Graph, shift: ShiftOperator, params: ParamSet) -> list[Ag
 @dataclass
 class StackedResult:
     yhat: np.ndarray  # (B, n)
-    grads: np.ndarray | None  # (n, dim) or (B, n, dim)
+    grads: np.ndarray | None  # (n, dim)
 
 
 def stacked_gradients(
@@ -277,7 +277,6 @@ def stacked_gradients(
     S,
     X: np.ndarray,
     y: np.ndarray | None,
-    per_sample: bool = False,
     forward_only: bool = False,
 ) -> StackedResult:
     """Bulk-synchronous execution of every node's local forward/backward steps.
@@ -286,7 +285,7 @@ def stacked_gradients(
     per layer; nodes may hold different copies. S is a `ShiftOperator` or its
     dense or CSR matrix. X is (B, n, g0), y is (B, n).
     Gradients are per-node flattened sensitivities of the summed per-node
-    losses, summed over the batch unless per_sample is set.
+    losses, summed over the batch.
 
     Activations are node-major, (n, B, width): X is transposed once on entry
     and yhat once on exit. The aggregation S @ x is then one matrix product
@@ -316,19 +315,14 @@ def stacked_gradients(
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (B, n):
         raise ValueError(f"labels must be ({B}, {n}), got {y.shape}")
-    dim = num_params(specs)
     slices = param_slices(specs)
-    grads = np.zeros((B, n, dim)) if per_sample else np.zeros((n, dim))
+    grads = np.zeros((n, num_params(specs)))
     z = (2.0 * (yhat - y)).T[..., None]
     for k in reversed(range(len(specs))):
         xprev, agg, h = caches[k]
         q = z * activation_derivative(specs[k], h)
         for x, sl in zip((xprev, agg), slices[k]):
-            if per_sample:
-                outer = x[..., :, None] * q[..., None, :]
-                grads[:, :, sl] = outer.reshape(n, B, -1).transpose(1, 0, 2)
-            else:
-                grads[:, sl] = np.matmul(x.transpose(0, 2, 1), q).reshape(n, -1)
+            grads[:, sl] = np.matmul(x.transpose(0, 2, 1), q).reshape(n, -1)
         if k > 0:
             msg = np.matmul(q, theta1_stack[k].transpose(0, 2, 1))
             z = np.matmul(q, theta0_stack[k].transpose(0, 2, 1)) + (

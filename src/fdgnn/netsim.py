@@ -7,8 +7,9 @@ closed-form round counts included; the plan builder, `delivery` and
 means: the key it delivers and the keys it needs delivered first.
 `audit_causality` checks plans against it, and the message-level engine
 keeps its in-flight values under its keys. Strategies only change scheduling
-and accounting; the applied update for a given optimizer is identical across
-them.
+and accounting: both engines hand the optimizer the (n, dim) batch-summed
+gradients, so the applied update for a given optimizer is bitwise identical
+across them.
 """
 from __future__ import annotations
 
@@ -393,9 +394,9 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
 
     `engine` selects the vectorized kernel ("stacked", the default) or
     message-level execution ("agents"); both agree numerically and bill the
-    same cached plan cost. The update replaces `net.theta`; the result holds
-    the per-node batch-summed gradients. A custom `plan` is audited before
-    it runs.
+    same cached plan cost. The update replaces `net.theta`; it steps on the
+    per-node batch-summed gradients, which the result holds, whatever the
+    strategy. A custom `plan` is audited before it runs.
     """
     st = strategy_of(strategy)
     if engine not in ENGINES:
@@ -424,11 +425,10 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
     psi = net.optimizer.mix(thetas, net.weights) if st.kinds else thetas
 
     execute = _execute_agents if engine == "agents" else _execute_stacked
-    grads, psg, yhat, proto = execute(net, cost.plan, X, Y, psi)
+    grads, yhat, proto = execute(net, cost.plan, X, Y, psi)
 
     if st.kinds:
-        step_grads = grads if psg is None else psg
-        net.theta = net.optimizer.apply(thetas, psi, net.weights, step_grads, alpha_t)
+        net.theta = net.optimizer.apply(thetas, psi, net.weights, grads, alpha_t)
     delta = CommLedger(trace_enabled=net.ledger.trace_enabled)
     for ledger in (net.ledger, delta):
         ledger.add_plan(n, cost)
@@ -451,8 +451,9 @@ def _execute_agents(net, plan, X, Y, psi):
         agent.reset_accumulator()
     sizes = chunk_sizes(dim, L * plan.B)
     yhat = np.zeros((plan.B, n))
-    per_sample = st.consensus == "per-sample"
-    psg = np.zeros((plan.B, n, dim)) if per_sample else None
+    # Each sample's gradients, kept when its backward pass ends: an audited plan
+    # may run sample b's consensus after sample b+1's backward pass has begun.
+    per_sample = np.zeros((plan.B, n, dim)) if st.consensus == "per-sample" else None
     w_rows = [a.w_row() for a in agents]
     inflight: dict[tuple, object] = {}
 
@@ -471,7 +472,7 @@ def _execute_agents(net, plan, X, Y, psi):
             elif p.kind == "degree":
                 held = [Degree(a.degree) for a in agents]
             elif p.kind == "grad-consensus" and held is None:
-                held = psg[p.sample - 1] if p.sample else np.stack([a.grad_accum for a in agents])
+                held = per_sample[p.sample - 1] if p.sample else np.stack([a.grad_accum for a in agents])
             outgoing.append((p, key, held))
 
         # Delivery barrier: everything broadcast this round is now visible to
@@ -505,28 +506,22 @@ def _execute_agents(net, plan, X, Y, psi):
                 results = [local_backward_layer(a, L, []) for a in agents]
             if results[0] is not None:
                 inflight[key] = results
-            elif per_sample:  # sample b's backward pass is finished
-                psg[b - 1] = [local_gradient(a) for a in agents]
+            elif per_sample is not None:  # sample b's backward pass is finished
+                per_sample[b - 1] = [local_gradient(a) for a in agents]
     proto = None
     if st.consensus:
         proto = sum(inflight[k] for k in delivery(UPDATE, plan)[2])
     grads = np.stack([a.grad_accum.copy() for a in agents])
-    return grads, psg, yhat, proto
+    return grads, yhat, proto
 
 
 def _execute_stacked(net, plan, X, Y, psi):
     """Vectorized execution: the agents' arithmetic without message objects."""
-    specs, S = net.specs, net.shift
-    th0, th1 = stack_flat_params(specs, psi)
-    st = STRATEGY[plan.strategy]
-    if not st.kinds:
-        res = stacked_gradients(specs, th0, th1, S, X, None, forward_only=True)
-        return np.zeros((net.n, net.dim)), None, res.yhat, None
-    per_sample = st.consensus == "per-sample"
-    res = stacked_gradients(specs, th0, th1, S, X, Y, per_sample=per_sample)
-    if per_sample:
-        return res.grads.sum(axis=0), res.grads, res.yhat, None
-    return res.grads, None, res.yhat, None
+    th0, th1 = stack_flat_params(net.specs, psi)
+    trains = bool(STRATEGY[plan.strategy].kinds)
+    res = stacked_gradients(net.specs, th0, th1, net.shift, X, Y, forward_only=not trains)
+    grads = res.grads if trains else np.zeros((net.n, net.dim))
+    return grads, res.yhat, None
 
 
 def ledger_report(entries) -> list[dict]:

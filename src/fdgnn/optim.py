@@ -24,7 +24,6 @@ CENTRAL_KINDS = ("central-sgd", "central-adam")
 DIST_KINDS = ("d-naive", "d-sgd", "d-adam", "d-amsgrad")
 OPTIMIZER_KINDS = CENTRAL_KINDS + DIST_KINDS
 DO_KINDS = ("d-sgd", "d-adam", "d-amsgrad")
-NAIVE_MODES = ("per-sample", "per-batch")
 
 
 @dataclass
@@ -135,35 +134,16 @@ def damsgrad_update(thetas, moments: MomentState, W, alpha_t, batch_grads, cfg, 
     return psi - alpha_t * moments.m / (np.sqrt(moments.vhat) + cfg.epsilon)
 
 
-def dnaive_update(thetas, W, K, alpha_t, grads, mode: str = "per-batch"):
-    """Average gradient estimates by K consensus rounds, then step locally.
-
-    per-batch consensus runs once on the locally summed batch gradients
-    (n, dim). per-sample runs on each sample's gradients (B, n, dim) and sums
-    the results; consensus is linear, so both modes agree up to floating-point
-    reordering.
-    """
+def dnaive_update(thetas, W, K, alpha_t, grads):
+    """Step each node on K consensus rounds of its (n, dim) batch-summed
+    gradients. Consensus is linear, so a per-sample schedule's sum of mixed
+    sample gradients equals this up to rounding; it only bills more rounds."""
     if K < 1:
         raise ValueError("consensus round count K must be >= 1")
-    if mode not in NAIVE_MODES:
-        raise ValueError(f"unknown naive mode {mode!r}")
-    thetas = np.asarray(thetas, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
-    if mode == "per-sample":
-        if grads.ndim != 3:
-            raise ValueError("per-sample mode needs (B, n, dim) gradients")
-        B, n, dim = grads.shape
-        # One consensus round on the (n, B*dim) block equals B independent
-        # per-sample rounds.
-        mixed = run_consensus(
-            grads.transpose(1, 0, 2).reshape(n, B * dim), W, K
-        ).reshape(n, B, dim)
-        step = mixed.sum(axis=1)
-    else:
-        if grads.ndim != 2:
-            raise ValueError("per-batch mode needs (n, dim) gradients")
-        step = run_consensus(grads, W, K)
-    return thetas - alpha_t * step
+    if grads.ndim != 2:
+        raise ValueError("d-naive needs (n, dim) batch-summed gradients")
+    return np.asarray(thetas, dtype=np.float64) - alpha_t * run_consensus(grads, W, K)
 
 
 def central_update(theta, grad, cfg: OptimizerConfig, moments: MomentState | None = None, alpha_t=None):
@@ -216,8 +196,7 @@ class DistOptimizer:
         return np.asarray(thetas, dtype=np.float64)
 
     def apply(self, thetas, psi, W, grads, alpha_t):
-        """Finish the update from gradients evaluated at `psi`; d-naive reads
-        (B, n, dim) gradients as per-sample and (n, dim) ones as per-batch."""
+        """Finish the update from (n, dim) batch-summed gradients evaluated at `psi`."""
         kind = self.cfg.kind
         if kind == "d-sgd":
             return dsgd_update(thetas, W, alpha_t, grads, premixed=psi)
@@ -225,5 +204,4 @@ class DistOptimizer:
             return dadam_update(thetas, self.moments, W, alpha_t, grads, self.cfg, premixed=psi)
         if kind == "d-amsgrad":
             return damsgrad_update(thetas, self.moments, W, alpha_t, grads, self.cfg, premixed=psi)
-        mode = "per-sample" if np.ndim(grads) == 3 else "per-batch"
-        return dnaive_update(thetas, W, self.cfg.K, alpha_t, grads, mode)
+        return dnaive_update(thetas, W, self.cfg.K, alpha_t, grads)

@@ -216,20 +216,6 @@ def test_stacked_matches_message_level_with_heterogeneous_copies():
     assert np.max(np.abs(res.grads - grads_msgs)) < 1e-12
 
 
-def test_stacked_per_sample_sums_to_batch():
-    rng = np.random.default_rng(22)
-    g = generate_er(6, 0.5, 4)
-    specs = (LayerSpec(2, 3, "leaky-relu"), LayerSpec(3, 1, "identity"))
-    shift, params, _ = _network(g, specs, seed=5)
-    flat = np.tile(params.flatten(), (6, 1))
-    th0, th1 = stack_flat_params(specs, flat)
-    X = rng.normal(size=(4, 6, 2))
-    y = rng.normal(size=(4, 6))
-    per = stacked_gradients(specs, th0, th1, shift.S, X, y, per_sample=True)
-    total = stacked_gradients(specs, th0, th1, shift.S, X, y)
-    assert np.max(np.abs(per.grads.sum(axis=0) - total.grads)) < 1e-12
-
-
 def test_missing_neighbor_message_rejected():
     g = Graph(3, ((0, 1), (0, 2)))
     shift, params, agents = _network(g, (LayerSpec(1, 1, "identity"),))

@@ -96,18 +96,6 @@ def test_dsgd_mean_trajectory_exact_on_complete_graph():
         assert np.max(np.abs(thetas.mean(axis=0) - theta_c)) < 1e-10
 
 
-def test_dnaive_per_sample_equals_per_batch_on_complete_graph():
-    rng = np.random.default_rng(4)
-    n, d, B = 4, 7, 5
-    W = _weights(complete_graph(n))
-    thetas = rng.normal(size=(n, d))
-    per_sample = rng.normal(size=(B, n, d))
-    batch = per_sample.sum(axis=0)
-    a = dnaive_update(thetas, W, 1, 0.1, per_sample, mode="per-sample")
-    b = dnaive_update(thetas, W, 1, 0.1, batch, mode="per-batch")
-    assert np.max(np.abs(a - b)) < 1e-12
-
-
 def test_dnaive_star_one_round_is_not_the_mean():
     rng = np.random.default_rng(5)
     g = star_graph(6)
@@ -121,8 +109,6 @@ def test_dnaive_rejects_k_zero_and_bad_mode():
     W = _weights(complete_graph(3))
     with pytest.raises(ValueError):
         dnaive_update(np.zeros((3, 2)), W, 0, 0.1, np.zeros((3, 2)))
-    with pytest.raises(ValueError):
-        dnaive_update(np.zeros((3, 2)), W, 1, 0.1, np.zeros((3, 2)), mode="per-epoch")
     with pytest.raises(ValueError):
         OptimizerConfig("d-naive", K=0)
 

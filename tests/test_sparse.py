@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fdgnn import datagen, graphs, trainer
-from fdgnn.agents import stack_flat_params, stacked_gradients
+from fdgnn.agents import make_agents, stack_flat_params, stacked_gradients
 from fdgnn.gcnn import central_gradient, forward, init_params
 from fdgnn.graphs import (
     SHIFT_VARIANTS,
@@ -63,16 +63,28 @@ def test_sparse_and_dense_forms_agree(kind, variant):
     X = rng.normal(size=(4, g.n, 3))
     y = rng.normal(size=(4, g.n))
     th0, th1 = stack_flat_params(specs, params.flatten() + 0.1 * rng.normal(size=(g.n, params.dim)))
-    for per_sample in (False, True):
-        sparse = stacked_gradients(specs, th0, th1, shift, X, y, per_sample=per_sample)
-        dense = stacked_gradients(specs, th0, th1, S, X, y, per_sample=per_sample)
-        assert_agree(sparse.yhat, dense.yhat)
-        assert_agree(sparse.grads, dense.grads)
+    sparse = stacked_gradients(specs, th0, th1, shift, X, y)
+    dense = stacked_gradients(specs, th0, th1, S, X, y)
+    assert_agree(sparse.yhat, dense.yhat)
+    assert_agree(sparse.grads, dense.grads)
     for x in (X[0], X):
         assert_agree(forward(params, shift, x)[0], forward(params, S, x)[0])
     assert_agree(central_gradient(params, shift, X[0], y[0]), central_gradient(params, S, X[0], y[0]))
     theta = rng.normal(size=(g.n, 5))
     assert_agree(consensus_round(theta, weights), consensus_round(theta, W))
+
+
+@pytest.mark.parametrize("variant", SHIFT_VARIANTS)
+def test_make_agents_reads_a_plain_csr_by_column(variant):
+    """A CSR built from a dense S stores no zero entry, so its rows need not
+    line up with the closed neighbourhoods."""
+    from scipy.sparse import csr_array
+
+    g = generate_ba(30, 2, 0)
+    S = build_shift(g, variant).S
+    params = init_params(RunConfig(layers=2, hidden=4).model_specs(3), "glorot", 1)
+    dense, sparse = (make_agents(g, m, params) for m in (S, csr_array(S)))
+    assert [a.shift_row for a in sparse] == [a.shift_row for a in dense]
 
 
 def _force_dense(monkeypatch):

@@ -5,6 +5,8 @@ delivery table, `run_minibatch` and the run configuration read them. These
 tests tie the traits to the built plans and cover the configuration and plan
 errors that must be rejected before anything runs.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from fdgnn.netsim import (
     run_minibatch,
 )
 from fdgnn.optim import DIST_KINDS, DistOptimizer, OptimizerConfig, dnaive_update
+from fdgnn.trainer import RunConfig
 
 N = 5
 
@@ -82,20 +85,50 @@ def test_pairing_follows_the_kinds(strategy, kind):
         check_pairing(strategy, kind)
 
 
-def test_dnaive_apply_reads_gradient_shape():
+def test_dnaive_apply_is_dnaive_update():
     rng = np.random.default_rng(0)
     W = metropolis_weights(generate_ba(N, 2, 1)).W
-    thetas, per_sample = rng.normal(size=(N, 4)), rng.normal(size=(3, N, 4))
+    thetas, batch = rng.normal(size=(N, 4)), rng.normal(size=(N, 4))
     opt = DistOptimizer(OptimizerConfig("d-naive", K=2), N, 4)
     assert np.array_equal(
-        opt.apply(thetas, thetas, W, per_sample, 0.1),
-        dnaive_update(thetas, W, 2, 0.1, per_sample, mode="per-sample"),
-    )
-    batch = per_sample.sum(axis=0)
-    assert np.array_equal(
         opt.apply(thetas, thetas, W, batch, 0.1),
-        dnaive_update(thetas, W, 2, 0.1, batch, mode="per-batch"),
+        dnaive_update(thetas, W, 2, 0.1, batch),
     )
+
+
+@pytest.mark.parametrize("engine", ["agents", "stacked"])
+def test_dnaive_strategies_change_only_the_schedule_and_the_bill(engine):
+    nets = {s: _net("d-naive", K=2) for s in ("naive-per-sample", "per-batch-consensus")}
+    for t in range(2):
+        samples = _samples(3, seed=t)
+        for strategy, net in nets.items():
+            run_minibatch(net, samples, strategy, engine=engine)
+    per_sample, per_batch = nets.values()
+    assert np.array_equal(per_sample.theta, per_batch.theta)
+    for strategy, net in nets.items():
+        cost = net.plan_cost(strategy, 3)
+        assert net.ledger.snapshot() == (2 * cost.plan.rounds, 2 * N * cost.plan.rounds, 2 * N * cost.scalars)
+    assert per_sample.ledger.snapshot() != per_batch.ledger.snapshot()
+
+
+def test_stacked_naive_per_sample_holds_no_per_sample_gradients():
+    n, B = 60, 40
+    g = generate_ba(n, 2, 0)
+    specs = RunConfig().model_specs()
+    rng = np.random.default_rng(0)
+    samples = [Sample(rng.normal(size=(n, 10)), rng.normal(size=n)) for _ in range(B)]
+    peaks = {}
+    for strategy in ("naive-per-sample", "per-batch-consensus"):
+        net = Network(g, build_shift(g), metropolis_weights(g), init_params(specs, "glorot", 0),
+                      OptimizerConfig("d-naive", K=2))
+        run_minibatch(net, samples, strategy)  # builds and audits the plan
+        tracemalloc.start()
+        try:
+            run_minibatch(net, samples, strategy)
+            peaks[strategy] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["naive-per-sample"] <= 1.1 * peaks["per-batch-consensus"]
 
 
 @pytest.mark.parametrize("engine", ["agents", "stacked"])
