@@ -28,6 +28,7 @@ from .gcnn import (
     ParamSet,
     activation_derivative,
     apply_activation,
+    layer_views,
     num_params,
     param_slices,
 )
@@ -252,14 +253,14 @@ def make_agents(graph: Graph, shift: ShiftOperator, params: ParamSet) -> list[Ag
     """One agent per node, each with its own shift row and its own parameter
     copy: weight views of its row of one (n, dim) array."""
     S = as_matrix(shift)
-    th0, th1 = stack_flat_params(params.specs, np.tile(params.flatten(), (graph.n, 1)))
+    flat = np.tile(params.flat, (graph.n, 1))
     agents = []
     for i in range(graph.n):
         cols = sorted((i, *graph.neighbors(i)))
         # A (row, column) gather reads a dense and a CSR matrix alike.
         row = dict(zip(cols, S[[i] * len(cols), cols].tolist()))
         nbr_deg = {j: graph.degree(j) for j in graph.neighbors(i)}
-        own = ParamSet(params.specs, [t[i] for t in th0], [t[i] for t in th1])
+        own = ParamSet.from_flat(params.specs, flat[i])
         agents.append(AgentState(i, own, row, nbr_deg, graph.degree(i)))
     return agents
 
@@ -332,11 +333,5 @@ def stacked_gradients(
 
 
 def stack_flat_params(specs, flat_stack: np.ndarray):
-    """Reshape per-node flat parameter rows into per-layer weight stacks."""
-    specs = tuple(specs)
-    n = flat_stack.shape[0]
-    theta0, theta1 = [], []
-    for spec, (sl0, sl1) in zip(specs, param_slices(specs)):
-        theta0.append(flat_stack[:, sl0].reshape(n, spec.g_in, spec.g_out))
-        theta1.append(flat_stack[:, sl1].reshape(n, spec.g_in, spec.g_out))
-    return theta0, theta1
+    """Per-layer (n, g_in, g_out) weight stacks viewed out of per-node flat rows."""
+    return layer_views(specs, flat_stack)

@@ -81,27 +81,36 @@ def param_slices(specs: tuple[LayerSpec, ...]) -> list[tuple[slice, slice]]:
     return out
 
 
-class ParamSet:
-    """Per-layer weight pairs (self term, neighborhood term).
+def layer_views(specs, flat: np.ndarray):
+    """Per-layer (self, neighborhood) weight views, of shape (..., g_in, g_out),
+    of flat parameters of shape (..., dim): one vector or one row per node."""
+    lead = flat.shape[:-1]
+    theta0, theta1 = [], []
+    for s, (sl0, sl1) in zip(specs, param_slices(specs)):
+        theta0.append(flat[..., sl0].reshape(*lead, s.g_in, s.g_out))
+        theta1.append(flat[..., sl1].reshape(*lead, s.g_in, s.g_out))
+    return theta0, theta1
 
-    Flattening to a single vector is layer-major, self-weights first, row-major
-    within each matrix; flatten and from_flat are exact inverses.
+
+class ParamSet:
+    """Per-layer weight pairs (self term, neighborhood term), viewed out of one
+    flat float64 vector `flat` in FLATTEN_ORDER. The constructor packs the given
+    weights into a new vector; flatten and from_flat are exact inverses.
     """
 
-    __slots__ = ("specs", "theta0", "theta1")
+    __slots__ = ("specs", "flat", "theta0", "theta1")
 
     def __init__(self, specs, theta0, theta1):
         specs = tuple(specs)
         validate_specs(specs)
         if len(theta0) != len(specs) or len(theta1) != len(specs):
             raise ValueError("one weight pair required per layer")
-        for s, t0, t1 in zip(specs, theta0, theta1):
-            want = (s.g_in, s.g_out)
-            if t0.shape != want or t1.shape != want:
-                raise ValueError(f"weight shape {t0.shape}/{t1.shape} != {want}")
-        self.specs = specs
-        self.theta0 = [np.asarray(t, dtype=np.float64) for t in theta0]
-        self.theta1 = [np.asarray(t, dtype=np.float64) for t in theta1]
+        self.specs, self.flat = specs, np.zeros(num_params(specs))
+        self.theta0, self.theta1 = layer_views(specs, self.flat)
+        for dst, src in zip(self.theta0 + self.theta1, [*theta0, *theta1]):
+            if src.shape != dst.shape:
+                raise ValueError(f"weight shape {src.shape} != {dst.shape}")
+            dst[...] = src
 
     @property
     def n_layers(self) -> int:
@@ -112,58 +121,44 @@ class ParamSet:
         return num_params(self.specs)
 
     def flatten(self) -> np.ndarray:
-        parts = []
-        for t0, t1 in zip(self.theta0, self.theta1):
-            parts.append(t0.ravel())
-            parts.append(t1.ravel())
-        return np.concatenate(parts)
+        return self.flat.copy()
 
     @classmethod
     def from_flat(cls, specs, flat: np.ndarray) -> "ParamSet":
+        """Wrap a flat vector without copying it: the weights are views of a
+        contiguous float64 `flat`, so a write to either shows in the other.
+        Any other dtype or memory layout is converted to one first."""
         specs = tuple(specs)
-        flat = np.asarray(flat, dtype=np.float64)
+        validate_specs(specs)
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
         if flat.shape != (num_params(specs),):
             raise ValueError(f"flat vector length {flat.shape} != ({num_params(specs)},)")
-        theta0, theta1 = [], []
-        for s, (sl0, sl1) in zip(specs, param_slices(specs)):
-            theta0.append(flat[sl0].reshape(s.g_in, s.g_out).copy())
-            theta1.append(flat[sl1].reshape(s.g_in, s.g_out).copy())
-        return cls(specs, theta0, theta1)
-
-    def copy(self) -> "ParamSet":
-        return ParamSet(
-            self.specs,
-            [t.copy() for t in self.theta0],
-            [t.copy() for t in self.theta1],
-        )
+        params = cls.__new__(cls)
+        params.specs, params.flat = specs, flat
+        params.theta0, params.theta1 = layer_views(specs, flat)
+        return params
 
 
 def init_params(specs, scheme: str = "glorot", seed: int = 0) -> ParamSet:
     """Draw a fresh ParamSet; deterministic for a given seed.
 
     Schemes: glorot (uniform within +-sqrt(6/(g_in+g_out))), zeros, and
-    normal (N(0, 1/g_in), used for randomly drawn teacher networks).
+    normal (N(0, 1/g_in), used for randomly drawn teacher networks). Each
+    layer draws its self weights, then its neighborhood weights.
     """
     specs = tuple(specs)
-    validate_specs(specs)
+    params = ParamSet.from_flat(specs, np.zeros(num_params(specs)))
     rng = np.random.default_rng(seed)
-    theta0, theta1 = [], []
-    for s in specs:
-        shape = (s.g_in, s.g_out)
-        if scheme == "glorot":
-            bound = np.sqrt(6.0 / (s.g_in + s.g_out))
-            theta0.append(rng.uniform(-bound, bound, shape))
-            theta1.append(rng.uniform(-bound, bound, shape))
-        elif scheme == "zeros":
-            theta0.append(np.zeros(shape))
-            theta1.append(np.zeros(shape))
-        elif scheme == "normal":
-            scale = 1.0 / np.sqrt(s.g_in)
-            theta0.append(rng.normal(0.0, scale, shape))
-            theta1.append(rng.normal(0.0, scale, shape))
-        else:
-            raise ValueError(f"unknown init scheme {scheme!r}")
-    return ParamSet(specs, theta0, theta1)
+    for s, t0, t1 in zip(specs, params.theta0, params.theta1):
+        for t in (t0, t1):
+            if scheme == "glorot":
+                bound = np.sqrt(6.0 / (s.g_in + s.g_out))
+                t[...] = rng.uniform(-bound, bound, t.shape)
+            elif scheme == "normal":
+                t[...] = rng.normal(0.0, 1.0 / np.sqrt(s.g_in), t.shape)
+            elif scheme != "zeros":
+                raise ValueError(f"unknown init scheme {scheme!r}")
+    return params
 
 
 @dataclass

@@ -146,10 +146,10 @@ def generate_er(n: int, p: float, seed: int, max_tries: int = 100) -> Graph:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    i, j = np.triu_indices(n, 1)
     for _ in range(max_tries):
-        mask = rng.random(len(pairs)) < p
-        g = Graph(n, tuple(e for e, keep in zip(pairs, mask) if keep))
+        keep = rng.random(i.size) < p
+        g = Graph(n, tuple(zip(i[keep].tolist(), j[keep].tolist())))
         if g.is_connected():
             return g
     raise GraphGenerationError(

@@ -445,9 +445,8 @@ def _execute_agents(net, plan, X, Y, psi):
     """
     agents, specs, st = net.agents, net.specs, STRATEGY[plan.strategy]
     n, L, dim = net.n, plan.L, net.dim
-    th0, th1 = stack_flat_params(specs, psi)
-    for i, agent in enumerate(agents):
-        agent.params = ParamSet(specs, [t[i] for t in th0], [t[i] for t in th1])
+    for agent, row in zip(agents, psi):
+        agent.params = ParamSet.from_flat(specs, row)
         agent.reset_accumulator()
     sizes = chunk_sizes(dim, L * plan.B)
     yhat = np.zeros((plan.B, n))

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fdgnn.agents import (
     FwdFeature,
@@ -17,6 +18,9 @@ from fdgnn.agents import (
 from fdgnn.gcnn import ParamSet, forward, mse_loss
 from fdgnn.graphs import Graph, generate_ba, generate_er
 from fdgnn.trainer import RunConfig, train_distributed
+
+# A deeper sweep for CI's engine-oracle step; the default profile is unchanged.
+settings.register_profile("ci-deep", max_examples=600, deadline=None)
 
 
 def rel_error(a, b, floor=1e-30):
