@@ -87,10 +87,14 @@ class AgentState:
         if self.node_id not in self.shift_row:
             raise ValueError("shift_row must include the node's own entry")
         self.neighbor_ids = tuple(sorted(j for j in self.shift_row if j != self.node_id))
+        # S_ii, and (j, S_ij) in the sorted-neighbour order every neighbour sum runs in.
+        self.shift_self = self.shift_row[self.node_id]
+        self.shift_nbrs = tuple((j, self.shift_row[j]) for j in self.neighbor_ids)
         self.neighbor_degrees = dict(neighbor_degrees)
         self.degree = len(self.neighbor_ids) if degree is None else int(degree)
         self.grad_accum = np.zeros(params.dim)
-        self._slices = param_slices(params.specs)
+        # Each layer's self weights, then its neighbourhood weights, in one slice.
+        self._slices = [slice(sl0.start, sl1.stop) for sl0, sl1 in param_slices(params.specs)]
         self._fwd: dict[int, dict] = {}
         self._bwd: dict[int, dict] = {}
         self._grad: np.ndarray | None = None  # the latest backward pass's gradient
@@ -138,9 +142,9 @@ def _gather(state, inbox, payload_type, tag_layer, width):
                 f"payload width {payload.values.shape} != ({width},)"
             )
         got[msg.sender] = payload.values
-    missing = set(state.neighbor_ids) - set(got)
+    missing = [j for j in state.neighbor_ids if j not in got]
     if missing:
-        raise ProtocolError(f"node {state.node_id} missing messages from {sorted(missing)}")
+        raise ProtocolError(f"node {state.node_id} missing messages from {missing}")
     return got
 
 
@@ -150,27 +154,28 @@ def local_forward_layer(state: AgentState, l: int, inbox):
     Returns the new feature row to broadcast, or the scalar prediction after
     the last layer.
     """
-    L = state.n_layers
+    params = state.params
+    L = len(params.specs)
     if not 1 <= l <= L:
         raise ValueError(f"layer {l} out of range 1..{L}")
     sample = state._fwd_sample
     if sample is None:
         raise ProtocolError("begin_sample must run before the forward pass")
     fw = state._fwd[sample]
-    if len(fw["x"]) != l:
+    xs = fw["x"]
+    if len(xs) != l:
         raise ProtocolError(f"forward layer {l} out of order")
-    row = state.shift_row
-    spec = state.params.specs[l - 1]
-    x_prev = fw["x"][l - 1]
+    spec = params.specs[l - 1]
+    x_prev = xs[l - 1]
     features = _gather(state, inbox, FwdFeature, l - 1, spec.g_in)
-    agg = row[state.node_id] * x_prev
-    for j in state.neighbor_ids:
-        agg = agg + row[j] * features[j]
-    h = x_prev @ state.params.theta0[l - 1] + agg @ state.params.theta1[l - 1]
+    agg = state.shift_self * x_prev
+    for j, s in state.shift_nbrs:
+        agg += s * features[j]
+    h = x_prev @ params.theta0[l - 1] + agg @ params.theta1[l - 1]
     x_new = apply_activation(spec, h)
     fw["a"][l] = agg
     fw["h"][l] = h
-    fw["x"].append(x_new)
+    xs.append(x_new)
     if l < L:
         return FwdFeature(l, x_new.copy())
     return float(x_new[0])
@@ -179,14 +184,11 @@ def local_forward_layer(state: AgentState, l: int, inbox):
 def local_backward_init(state: AgentState, y_i: float, yhat_i: float) -> None:
     """Seed the backward recursion with the summed-loss residual adjoint."""
     sample = state._fwd_sample
-    if sample is None or len(state._fwd[sample]["x"]) != state.n_layers + 1:
+    L = len(state.params.specs)
+    if sample is None or len(state._fwd[sample]["x"]) != L + 1:
         raise ProtocolError("forward pass must finish before backward starts")
-    state._bwd[sample] = {
-        "z": np.array([2.0 * (yhat_i - y_i)]),
-        "q": None,
-        "layer": state.n_layers,
-    }
-    state._grad = np.zeros(state.params.dim)
+    state._bwd[sample] = {"z": np.array([2.0 * (yhat_i - y_i)]), "q": None, "layer": L}
+    state._grad = np.zeros(state.grad_accum.size)
     state._bwd_sample = sample
 
 
@@ -207,28 +209,22 @@ def local_backward_layer(state: AgentState, l: int, inbox):
     if st["layer"] != l:
         raise ProtocolError(f"backward layer {l} out of order, expected {st['layer']}")
     params = state.params
-    L = state.n_layers
-    if l == L:
+    specs = params.specs
+    if l == len(specs):
         if inbox:
             raise ProtocolError("top backward layer consumes no messages")
         z = st["z"]
     else:
-        spec_up = params.specs[l]
-        adjoints = _gather(state, inbox, BwdAdjoint, l + 1, spec_up.g_in)
+        adjoints = _gather(state, inbox, BwdAdjoint, l + 1, specs[l].g_in)
         q_up = st["q"]
-        z = params.theta0[l] @ q_up + state.shift_row[state.node_id] * (
-            params.theta1[l] @ q_up
-        )
-        for j in state.neighbor_ids:
-            z = z + state.shift_row[j] * adjoints[j]
+        z = params.theta0[l] @ q_up + state.shift_self * (params.theta1[l] @ q_up)
+        for j, s in state.shift_nbrs:
+            z += s * adjoints[j]
     fw = state._fwd[sample]
-    spec = params.specs[l - 1]
-    q = z * activation_derivative(spec, fw["h"][l])
-    d0 = np.outer(fw["x"][l - 1], q)
-    d1 = np.outer(fw["a"][l], q)
-    sl0, sl1 = state._slices[l - 1]
-    state._grad[sl0] += d0.ravel()
-    state._grad[sl1] += d1.ravel()
+    q = z * activation_derivative(specs[l - 1], fw["h"][l])
+    # The outer products x q^T and a q^T, stacked as the layer's slice lays them out.
+    xa = np.concatenate((fw["x"][l - 1], fw["a"][l]))
+    state._grad[state._slices[l - 1]] += (xa[:, None] * q).ravel()
     st["q"] = q
     st["layer"] = l - 1
     if l >= 2:

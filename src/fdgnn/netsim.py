@@ -14,6 +14,7 @@ across them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable
 
@@ -308,9 +309,10 @@ class Network:
     """Simulation state shared across mini-batches: topology, weights, parameters.
 
     `theta`, one (n, dim) row of flat parameters per node, is the only copy of
-    the optimization state. The message-level agents of the "agents" engine
-    are built from the topology on first use and dropped when it changes;
-    round plans are built and audited once per (strategy, batch size).
+    the optimization state. The message-level agents of the "agents" engine,
+    with their consensus slot table, are built from the topology on first use
+    and dropped when it changes; round plans are built and audited once per
+    (strategy, batch size).
     """
 
     def __init__(self, graph, shift, weights, params0: ParamSet, opt_cfg: OptimizerConfig, track_trace=False):
@@ -325,6 +327,7 @@ class Network:
         self.ledger = CommLedger(trace_enabled=track_trace)
         self.t = 0
         self._agents: list[AgentState] | None = None
+        self._slots = None  # _consensus_slots(self._agents)
         self._plans: dict[tuple[str, int], PlanCost] = {}
 
     @property
@@ -346,6 +349,7 @@ class Network:
         if self._agents is None:
             params = ParamSet.from_flat(self.specs, self.theta[0])
             self._agents = make_agents(self.graph, self.shift, params)
+            self._slots = _consensus_slots(self._agents)
         return self._agents
 
     def plan_cost(self, strategy: str, B: int) -> PlanCost:
@@ -371,6 +375,22 @@ class Network:
     def consensus_gap(self) -> float:
         diff = self.theta - self.theta.mean(axis=0)
         return float(np.max(np.linalg.norm(diff, axis=1)))
+
+
+def _consensus_slots(agents):
+    """The agents' own consensus weights as (w_self, slots), built in O(n + |E|).
+
+    Slot k is (rows, cols, w): every node with more than k neighbours, its
+    k-th neighbour in sorted order and that neighbour's weight. Adding the
+    slots in turn repeats each node's own summation order.
+    """
+    w_rows = [a.w_row() for a in agents]
+    slots = [[] for _ in range(max(len(a.neighbor_ids) for a in agents))]
+    for i, (agent, row) in enumerate(zip(agents, w_rows)):
+        for k, j in enumerate(agent.neighbor_ids):
+            slots[k].append((i, j, row[j]))
+    w_self = np.array([row[i] for i, row in enumerate(w_rows)])
+    return w_self, [(np.array(r), np.array(c), np.array(w)[:, None]) for r, c, w in (zip(*s) for s in slots)]
 
 
 @dataclass
@@ -448,12 +468,12 @@ def _execute_agents(net, plan, X, Y, psi):
     for agent, row in zip(agents, psi):
         agent.params = ParamSet.from_flat(specs, row)
         agent.reset_accumulator()
-    sizes = chunk_sizes(dim, L * plan.B)
+    if st.chunked:
+        offsets = list(accumulate(chunk_sizes(dim, L * plan.B), initial=0))
     yhat = np.zeros((plan.B, n))
     # Each sample's gradients, kept when its backward pass ends: an audited plan
     # may run sample b's consensus after sample b+1's backward pass has begun.
     per_sample = np.zeros((plan.B, n, dim)) if st.consensus == "per-sample" else None
-    w_rows = [a.w_row() for a in agents]
     inflight: dict[tuple, object] = {}
 
     for r, items in enumerate(plan.schedule, 1):
@@ -466,8 +486,8 @@ def _execute_agents(net, plan, X, Y, psi):
                     agent.begin_sample(p.sample, X[p.sample - 1][i])
                 held = [FwdFeature(0, x.copy()) for x in X[p.sample - 1]]
             elif p.kind == "chunk":
-                lo = sum(sizes[:p.chunk])
-                held = [ConsensusChunk(lo, row[lo:lo + sizes[p.chunk]].copy()) for row in psi]
+                lo, hi = offsets[p.chunk], offsets[p.chunk + 1]
+                held = [ConsensusChunk(lo, row[lo:hi].copy()) for row in psi]
             elif p.kind == "degree":
                 held = [Degree(a.degree) for a in agents]
             elif p.kind == "grad-consensus" and held is None:
@@ -478,18 +498,16 @@ def _execute_agents(net, plan, X, Y, psi):
         # the sender's neighbors, and each consumer step runs on it.
         for p, key, values in outgoing:
             if p.kind == "grad-consensus":
-                nxt = np.empty((n, dim))
-                for i, agent in enumerate(agents):
-                    row = w_rows[i]
-                    acc = row[i] * values[i]
-                    for j in agent.neighbor_ids:
-                        acc = acc + row[j] * values[j]
-                    nxt[i] = acc
+                w_self, slots = net._slots
+                nxt = w_self[:, None] * values
+                for rows, cols, w in slots:
+                    nxt[rows] += w * values[cols]
                 inflight[key] = nxt
             if p.kind not in ("fwd", "adjoint"):
                 continue  # chunks and degrees are billed and audited; the mix reads psi
             b = p.sample
-            inboxes = [[Message(j, r, values[j]) for j in a.neighbor_ids] for a in agents]
+            msgs = [Message(j, r, v) for j, v in enumerate(values)]
+            inboxes = [[msgs[j] for j in a.neighbor_ids] for a in agents]
             if p.kind == "adjoint":
                 results = [local_backward_layer(a, p.layer - 1, box) for a, box in zip(agents, inboxes)]
             else:
