@@ -106,6 +106,8 @@ def _run_one(cfg: RunConfig, graph: Graph):
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg, graph = build_config(args)
+    if cfg.track_trace and cfg.optimizer in CENTRAL_KINDS:
+        raise ConfigError("--trace needs a distributed optimizer: a centralized run sends no messages")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
@@ -117,21 +119,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     result.log.to_csv(out / "metrics.csv")
     save_params(result.theta_star, out / "checkpoint.json")
     final = result.log.final
-    rounds, broadcasts, scalars = final.ledger_snapshot
-    rows = [
-        {
-            "strategy": cfg.strategy if result.ledger is not None else "centralized",
-            "L": cfg.layers,
-            "B": cfg.batch,
-            "K": cfg.K,
-            "rounds": rounds,
-            "broadcasts": broadcasts,
-            "scalars": scalars,
-        }
-    ]
-    if cfg.track_trace and result.ledger is not None:
+    strategy = cfg.strategy if result.ledger is not None else "centralized"
+    row = dict(strategy=strategy, L=cfg.layers, B=cfg.batch, K=cfg.K)
+    row.update(zip(("rounds", "broadcasts", "scalars"), final.ledger_snapshot))
+    if cfg.track_trace:
         write_trace_csv(out / "trace.csv", result.ledger)
-    write_ledger_csv(out / "ledger.csv", rows)
+    write_ledger_csv(out / "ledger.csv", [row])
     print(
         f"{cfg.optimizer} on {cfg.graph} n={cfg.n}: "
         f"{final.t} updates, {final.rounds} rounds, "

@@ -254,24 +254,31 @@ class CommLedger:
     broadcasts: int = 0
     scalars: int = 0
     trace_enabled: bool = False
-    trace: list = field(default_factory=list)
+    _runs: list = field(default_factory=list, init=False, repr=False)  # traced: [rows, times] per run of one bill
 
     def add_round(self, n_nodes: int, per_node_scalars: int, kinds) -> None:
-        self.rounds += 1
-        self.broadcasts += n_nodes
-        self.scalars += n_nodes * per_node_scalars
-        if self.trace_enabled:
-            self.trace.append(RoundTrace(self.rounds, tuple(kinds), per_node_scalars))
+        """Bill one round, as a one-round bill with no plan."""
+        self.add_plan(n_nodes, PlanCost(None, ((tuple(kinds), per_node_scalars),), per_node_scalars))
 
     def add_plan(self, n_nodes: int, cost: PlanCost) -> None:
-        """Bill every round of a plan: O(1), or one add_round per round when tracing."""
-        if self.trace_enabled:
-            for items, size in zip(cost.plan.schedule, cost.sizes):
-                self.add_round(n_nodes, size, tuple(p.kind for p in items))
-            return
-        self.rounds += cost.plan.rounds
-        self.broadcasts += n_nodes * cost.plan.rounds
+        """Bill every round of a plan in O(1), traced or not."""
+        self.rounds += len(cost.rows)
+        self.broadcasts += n_nodes * len(cost.rows)
         self.scalars += n_nodes * cost.scalars
+        if self.trace_enabled:
+            if self._runs and self._runs[-1][0] is cost.rows:
+                self._runs[-1][1] += 1
+            else:
+                self._runs.append([cost.rows, 1])
+
+    def iter_trace(self):
+        """Each billed round in order, as a `RoundTrace` built when it is reached."""
+        rows = (row for rows, times in self._runs for _ in range(times) for row in rows)
+        return (RoundTrace(index, *row) for index, row in enumerate(rows, 1))
+
+    @property
+    def trace(self) -> list[RoundTrace]:
+        return list(self.iter_trace())
 
     def snapshot(self) -> tuple[int, int, int]:
         return (self.rounds, self.broadcasts, self.scalars)
@@ -289,20 +296,21 @@ def _payload_scalars(p: Payload, widths, dim, chunks) -> int:
 
 @dataclass(frozen=True)
 class PlanCost:
-    """An audited plan with the per-node scalars broadcast in each round."""
+    """An audited plan's bill: each round's (payload kinds, per-node scalars)."""
 
-    plan: RoundPlan
-    sizes: tuple[int, ...]
-    scalars: int  # sum(sizes)
+    plan: RoundPlan | None  # None for a round billed by `CommLedger.add_round`
+    rows: tuple[tuple[tuple[str, ...], int], ...]
+    scalars: int  # per node, over every round
 
     @classmethod
     def of(cls, plan: RoundPlan, widths, dim: int) -> PlanCost:
         audit_causality(plan)
         chunks = chunk_sizes(dim, plan.L * plan.B) if STRATEGY[plan.strategy].chunked else None
-        sizes = tuple(
-            sum(_payload_scalars(p, widths, dim, chunks) for p in items) for items in plan.schedule
+        rows = tuple(
+            (tuple(p.kind for p in items), sum(_payload_scalars(p, widths, dim, chunks) for p in items))
+            for items in plan.schedule
         )
-        return cls(plan, sizes, sum(sizes))
+        return cls(plan, rows, sum(size for _, size in rows))
 
 
 class Network:
@@ -573,7 +581,6 @@ def write_ledger_csv(path: str | Path, rows) -> None:
 
 
 def write_trace_csv(path: str | Path, ledger: CommLedger) -> None:
-    lines = ["round,kinds,per_node_scalars"]
-    for tr in ledger.trace:
-        lines.append(f"{tr.index},{'+'.join(tr.kinds)},{tr.per_node_scalars}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write("round,kinds,per_node_scalars\n")
+        f.writelines(f"{t.index},{'+'.join(t.kinds)},{t.per_node_scalars}\n" for t in ledger.iter_trace())

@@ -72,3 +72,11 @@ def test_train_config_path_that_is_a_directory_is_config_error(tmp_path, capsys)
     assert main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_train_trace_with_centralized_optimizer_is_config_error(tmp_path, capsys):
+    args = ["train", "--optimizer", "central-adam", "--trace", "--n", "8", "--n-train", "8",
+            "--n-test", "4", "--batch", "4", "--epochs", "1", "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
