@@ -78,7 +78,7 @@ class Message:
 class AgentState:
     """State exclusively owned by one node."""
 
-    def __init__(self, node_id, params, shift_row, neighbor_degrees, degree=None):
+    def __init__(self, node_id, params, shift_row, neighbor_degrees):
         self.node_id = int(node_id)
         self.params: ParamSet = params
         # shift_row holds S_ij for j in the closed neighborhood, self included
@@ -91,7 +91,7 @@ class AgentState:
         self.shift_self = self.shift_row[self.node_id]
         self.shift_nbrs = tuple((j, self.shift_row[j]) for j in self.neighbor_ids)
         self.neighbor_degrees = dict(neighbor_degrees)
-        self.degree = len(self.neighbor_ids) if degree is None else int(degree)
+        self.degree = len(self.neighbor_ids)
         self.grad_accum = np.zeros(params.dim)
         # Each layer's self weights, then its neighbourhood weights, in one slice.
         self._slices = [slice(sl0.start, sl1.stop) for sl0, sl1 in param_slices(params.specs)]
@@ -257,7 +257,7 @@ def make_agents(graph: Graph, shift: ShiftOperator, params: ParamSet) -> list[Ag
         row = dict(zip(cols, S[[i] * len(cols), cols].tolist()))
         nbr_deg = {j: graph.degree(j) for j in graph.neighbors(i)}
         own = ParamSet.from_flat(params.specs, flat[i])
-        agents.append(AgentState(i, own, row, nbr_deg, graph.degree(i)))
+        agents.append(AgentState(i, own, row, nbr_deg))
     return agents
 
 
@@ -274,13 +274,12 @@ def stacked_gradients(
     S,
     X: np.ndarray,
     y: np.ndarray | None,
-    forward_only: bool = False,
 ) -> StackedResult:
     """Bulk-synchronous execution of every node's local forward/backward steps.
 
     theta*_stack hold each node's own weight copy, one (n, g_in, g_out) array
     per layer; nodes may hold different copies. S is a `ShiftOperator` or its
-    dense or CSR matrix. X is (B, n, g0), y is (B, n).
+    dense or CSR matrix. X is (B, n, g0); y is (B, n), or None to run forward only.
     Gradients are per-node flattened sensitivities of the summed per-node
     losses, summed over the batch.
 
@@ -306,7 +305,7 @@ def stacked_gradients(
         caches.append((cur, agg, h))
         cur = apply_activation(spec, h)
     yhat = cur[..., 0].T.copy()
-    if forward_only:
+    if y is None:
         return StackedResult(yhat, None)
 
     y = np.asarray(y, dtype=np.float64)

@@ -25,6 +25,7 @@ from .trainer import (
     METRICS_COLUMNS,
     RunConfig,
     TrainingDiverged,
+    TrainResult,
     train_centralized,
     train_distributed,
 )
@@ -110,12 +111,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("--trace needs a distributed optimizer: a centralized run sends no messages")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    code = EXIT_OK
     try:
         result = _run_one(cfg, graph)
-    except TrainingDiverged as err:
-        save_params(err.last_params, out / "checkpoint.json")
+    except TrainingDiverged as err:  # log every update that ran; checkpoint the last evaluated average
         print(f"aborted: {err} (last finite checkpoint written)", file=sys.stderr)
-        return EXIT_NUMERIC
+        result, code = TrainResult(None, err.last_params, err.log, err.ledger), EXIT_NUMERIC
     result.log.to_csv(out / "metrics.csv")
     save_params(result.theta_star, out / "checkpoint.json")
     final = result.log.final
@@ -125,6 +126,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if cfg.track_trace:
         write_trace_csv(out / "trace.csv", result.ledger)
     write_ledger_csv(out / "ledger.csv", [row])
+    if code != EXIT_OK:
+        return code
     print(
         f"{cfg.optimizer} on {cfg.graph} n={cfg.n}: "
         f"{final.t} updates, {final.rounds} rounds, "
@@ -135,6 +138,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg, graph = build_config(args)
+    if cfg.track_trace:
+        raise ConfigError("--trace is for train: compare writes no per-method trace")
     env = os.environ.get("FDGNN_THREADS")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(len(COMPARE_METHODS), cpus or 1)
@@ -188,15 +193,15 @@ def cmd_costs(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else 1
 
 
-def _finite_difference(specs, theta, shift, X, y, step=1e-6):
+def _finite_difference(specs, theta, shift, X, y):
     grad = np.zeros_like(theta)
     for k in range(theta.size):
         bumped = theta.copy()
-        bumped[k] += step
+        bumped[k] += 1e-6
         hi, _ = forward(ParamSet.from_flat(specs, bumped), shift, X)
-        bumped[k] -= 2 * step
+        bumped[k] -= 2e-6
         lo, _ = forward(ParamSet.from_flat(specs, bumped), shift, X)
-        grad[k] = (mse_loss(y, hi) - mse_loss(y, lo)) / (2 * step)
+        grad[k] = (mse_loss(y, hi) - mse_loss(y, lo)) / 2e-6
     return grad
 
 

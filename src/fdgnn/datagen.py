@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .gcnn import LayerSpec, forward, init_params
-from .graphs import Graph, as_matrix, build_shift
+from .graphs import ShiftOperator, as_matrix
 
 FEATURE_KINDS = ("uniform", "normal", "binary", "one-hot")
 
@@ -100,12 +100,11 @@ def draw_samples(teacher, shift, spec: DatasetSpec, count: int, rng: np.random.G
     return samples
 
 
-def make_dataset(graph: Graph, spec: DatasetSpec, shift_variant: str = "normalized-adjacency"):
-    """Draw one teacher, then n_samples of (features, teacher output + noise)."""
+def make_dataset(shift: ShiftOperator, spec: DatasetSpec):
+    """Draw one teacher, then n_samples of (features, teacher output + noise) on `shift`."""
     rng = np.random.default_rng(spec.seed)
     teacher_seed = int(rng.integers(2**31))
     teacher = init_params(spec.teacher_specs, scheme="normal", seed=teacher_seed)
-    shift = build_shift(graph, shift_variant)
     return draw_samples(teacher, shift, spec, spec.n_samples, rng), teacher
 
 

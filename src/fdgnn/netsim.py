@@ -36,7 +36,7 @@ from .agents import (
 )
 from .datagen import stack_samples
 from .gcnn import ParamSet
-from .graphs import ConsensusWeights, Graph, ShiftOperator
+from .graphs import ConsensusWeights, Graph, ShiftOperator, metropolis_weights
 from .optim import DO_KINDS, DistOptimizer, OptimizerConfig
 
 ENGINES = ("agents", "stacked")
@@ -253,23 +253,21 @@ class CommLedger:
     rounds: int = 0
     broadcasts: int = 0
     scalars: int = 0
-    trace_enabled: bool = False
-    _runs: list = field(default_factory=list, init=False, repr=False)  # traced: [rows, times] per run of one bill
+    _runs: list = field(default_factory=list, init=False, repr=False)  # [rows, times] per run of one bill
 
     def add_round(self, n_nodes: int, per_node_scalars: int, kinds) -> None:
         """Bill one round, as a one-round bill with no plan."""
         self.add_plan(n_nodes, PlanCost(None, ((tuple(kinds), per_node_scalars),), per_node_scalars))
 
     def add_plan(self, n_nodes: int, cost: PlanCost) -> None:
-        """Bill every round of a plan in O(1), traced or not."""
+        """Bill every round of a plan in O(1)."""
         self.rounds += len(cost.rows)
         self.broadcasts += n_nodes * len(cost.rows)
         self.scalars += n_nodes * cost.scalars
-        if self.trace_enabled:
-            if self._runs and self._runs[-1][0] is cost.rows:
-                self._runs[-1][1] += 1
-            else:
-                self._runs.append([cost.rows, 1])
+        if self._runs and self._runs[-1][0] is cost.rows:
+            self._runs[-1][1] += 1
+        else:
+            self._runs.append([cost.rows, 1])
 
     def iter_trace(self):
         """Each billed round in order, as a `RoundTrace` built when it is reached."""
@@ -316,23 +314,24 @@ class PlanCost:
 class Network:
     """Simulation state shared across mini-batches: topology, weights, parameters.
 
-    `theta`, one (n, dim) row of flat parameters per node, is the only copy of
-    the optimization state. The message-level agents of the "agents" engine,
-    with their consensus slot table, are built from the topology on first use
-    and dropped when it changes; round plans are built and audited once per
-    (strategy, batch size).
+    The weights are the graph's Metropolis weights, the rule of each agent's
+    `w_row`. `theta`, one (n, dim) row of flat parameters per node, is the
+    only copy of the optimization state. The message-level agents of the
+    "agents" engine, with their consensus slot table, are built from the
+    topology on first use and dropped when it changes; round plans are built
+    and audited once per (strategy, batch size).
     """
 
-    def __init__(self, graph, shift, weights, params0: ParamSet, opt_cfg: OptimizerConfig, track_trace=False):
+    def __init__(self, graph, shift, params0: ParamSet, opt_cfg: OptimizerConfig):
         self.graph: Graph = graph
         self.shift: ShiftOperator = shift
-        self.weights: ConsensusWeights = weights
+        self.weights: ConsensusWeights = metropolis_weights(graph)
         self.specs = params0.specs
         self.dim = params0.dim
         self.widths = [self.specs[0].g_in] + [s.g_out for s in self.specs]
         self.theta = np.tile(params0.flatten(), (graph.n, 1))
         self.optimizer = DistOptimizer(opt_cfg, graph.n, self.dim)
-        self.ledger = CommLedger(trace_enabled=track_trace)
+        self.ledger = CommLedger()
         self.t = 0
         self._agents: list[AgentState] | None = None
         self._slots = None  # _consensus_slots(self._agents)
@@ -342,13 +341,13 @@ class Network:
     def n(self) -> int:
         return self.graph.n
 
-    def set_topology(self, graph: Graph, shift: ShiftOperator, weights: ConsensusWeights) -> None:
+    def set_topology(self, graph: Graph, shift: ShiftOperator) -> None:
         """Swap the edge set under a fixed node set, keeping every node's state."""
         if graph.n != self.graph.n:
             raise ValueError("topology redraw must keep the node set")
         self.graph = graph
         self.shift = shift
-        self.weights = weights
+        self.weights = metropolis_weights(graph)
         self._agents = None
 
     @property
@@ -449,15 +448,14 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
     if alpha_t is None:
         alpha_t = cfg.alpha * cfg.decay**net.t
 
-    thetas = net.theta
-    psi = net.optimizer.mix(thetas, net.weights) if st.kinds else thetas
+    psi = net.optimizer.mix(net.theta, net.weights) if st.kinds else net.theta
 
     execute = _execute_agents if engine == "agents" else _execute_stacked
     grads, yhat, proto = execute(net, cost.plan, X, Y, psi)
 
     if st.kinds:
-        net.theta = net.optimizer.apply(thetas, psi, net.weights, grads, alpha_t)
-    delta = CommLedger(trace_enabled=net.ledger.trace_enabled)
+        net.theta = net.optimizer.apply(psi, net.weights, grads, alpha_t)
+    delta = CommLedger()
     for ledger in (net.ledger, delta):
         ledger.add_plan(n, cost)
     net.t += 1
@@ -544,7 +542,7 @@ def _execute_stacked(net, plan, X, Y, psi):
     """Vectorized execution: the agents' arithmetic without message objects."""
     th0, th1 = stack_flat_params(net.specs, psi)
     trains = bool(STRATEGY[plan.strategy].kinds)
-    res = stacked_gradients(net.specs, th0, th1, net.shift, X, Y, forward_only=not trains)
+    res = stacked_gradients(net.specs, th0, th1, net.shift, X, Y if trains else None)
     grads = res.grads if trains else np.zeros((net.n, net.dim))
     return grads, res.yhat, None
 
@@ -562,14 +560,14 @@ def ledger_report(entries) -> list[dict]:
     ]
 
 
-def cost_table(L: int, B: int, K: int, n: int = 4) -> list[dict]:
-    """Every strategy's bill for one mini-batch on n nodes with 1x1 layers:
+def cost_table(L: int, B: int, K: int) -> list[dict]:
+    """Every strategy's bill for one mini-batch on 4 nodes with 1x1 layers:
     the `PlanCost` of its built and audited plan, as a training run's ledger
     charges it, next to the closed-form round count."""
     entries = []
     for strategy in STRATEGIES:
         ledger = CommLedger()
-        ledger.add_plan(n, PlanCost.of(build_round_plan(L, B, K, strategy), [1] * (L + 1), 2 * L))
+        ledger.add_plan(4, PlanCost.of(build_round_plan(L, B, K, strategy), [1] * (L + 1), 2 * L))
         entries.append((strategy, L, B, K, ledger))
     return ledger_report(entries)
 

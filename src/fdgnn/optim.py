@@ -100,31 +100,28 @@ def _adam_step(moments: MomentState, grads, cfg, alpha) -> np.ndarray:
     return alpha * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
-def dsgd_update(thetas, W, alpha_t, batch_grads, premixed=None):
-    """Mix the parameter rows, subtract the per-node summed batch gradient."""
-    psi = consensus_round(thetas, W) if premixed is None else premixed
+def dsgd_update(psi, alpha_t, batch_grads):
+    """Subtract the per-node summed batch gradient from the mixed rows psi."""
     return psi - alpha_t * batch_grads
 
 
-def dadam_update(thetas, moments: MomentState, W, alpha_t, batch_grads, cfg, premixed=None):
-    """Parameter consensus followed by a local bias-corrected adaptive step.
+def dadam_update(psi, moments: MomentState, alpha_t, batch_grads, cfg):
+    """A local bias-corrected adaptive step from the mixed rows psi.
 
     Moments stay strictly local, so they can drift apart across nodes when
     local gradients differ.
     """
-    psi = consensus_round(thetas, W) if premixed is None else premixed
     return psi - _adam_step(moments, batch_grads, cfg, alpha_t)
 
 
-def damsgrad_update(thetas, moments: MomentState, W, alpha_t, batch_grads, cfg, premixed=None):
-    """Consensus on parameters and first moments, then a max-normalized step.
+def damsgrad_update(psi, moments: MomentState, W, alpha_t, batch_grads, cfg):
+    """Consensus on the first moments, then a max-normalized step from psi.
 
     vhat is a running coordinatewise maximum of the second moment and never
     decreases. No bias correction, matching the max-normalized scheme.
     """
     if moments.vhat is None:
         raise ValueError("moments must carry a vhat buffer")
-    psi = consensus_round(thetas, W) if premixed is None else premixed
     moments.t += 1
     m_mixed = consensus_round(moments.m, W)
     v_prev = consensus_round(moments.v, W) if cfg.consensus_on_v else moments.v
@@ -176,9 +173,9 @@ class CentralOptimizer:
 class DistOptimizer:
     """Network-wide state for the distributed update kinds.
 
-    `mix` produces the working copies a mini-batch computes its gradients at;
-    `apply` finishes the update from those gradients. The naive kind skips
-    parameter mixing entirely.
+    `mix`, the only code that mixes parameter rows, gives the copies psi a
+    mini-batch computes its gradients at; `apply` finishes the update from psi
+    and those gradients. The naive kind's psi is its unmixed rows.
     """
 
     def __init__(self, cfg: OptimizerConfig, n: int, dim: int):
@@ -195,13 +192,13 @@ class DistOptimizer:
             return consensus_round(thetas, W)
         return np.asarray(thetas, dtype=np.float64)
 
-    def apply(self, thetas, psi, W, grads, alpha_t):
-        """Finish the update from (n, dim) batch-summed gradients evaluated at `psi`."""
+    def apply(self, psi, W, grads, alpha_t):
+        """Finish the update from `mix`'s rows psi and their (n, dim) batch-summed gradients."""
         kind = self.cfg.kind
         if kind == "d-sgd":
-            return dsgd_update(thetas, W, alpha_t, grads, premixed=psi)
+            return dsgd_update(psi, alpha_t, grads)
         if kind == "d-adam":
-            return dadam_update(thetas, self.moments, W, alpha_t, grads, self.cfg, premixed=psi)
+            return dadam_update(psi, self.moments, alpha_t, grads, self.cfg)
         if kind == "d-amsgrad":
-            return damsgrad_update(thetas, self.moments, W, alpha_t, grads, self.cfg, premixed=psi)
-        return dnaive_update(thetas, W, self.cfg.K, alpha_t, grads)
+            return damsgrad_update(psi, self.moments, W, alpha_t, grads, self.cfg)
+        return dnaive_update(psi, W, self.cfg.K, alpha_t, grads)

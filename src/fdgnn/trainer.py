@@ -31,7 +31,6 @@ from .graphs import (
     generate_ba,
     generate_er,
     load_edge_list,
-    metropolis_weights,
 )
 from .netsim import ENGINES, Network, check_pairing, expected_rounds, run_minibatch, strategy_of
 from .optim import CENTRAL_KINDS, DIST_KINDS, CentralOptimizer, OptimizerConfig
@@ -42,12 +41,14 @@ CHOICES = {"graph": ("ba", "er", "file"), "shift": SHIFT_VARIANTS,
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; carries the last finite consensus average."""
+    """Loss became non-finite; carries the last evaluated average, the log so far and any ledger."""
 
-    def __init__(self, message, step, last_params):
+    def __init__(self, message, step, last_params, log, ledger=None):
         super().__init__(message)
         self.step = step
         self.last_params = last_params
+        self.log = log
+        self.ledger = ledger
 
 
 @dataclass
@@ -206,7 +207,7 @@ def _setup(config: RunConfig, graph: Graph | None = None):
     _, data_seed, init_seed, redraw_seed = _spawn_seeds(config.seed, 4)
     shift = build_shift(graph, config.shift)
     dspec = config.dataset_spec(data_seed)
-    samples, teacher = make_dataset(graph, dspec, config.shift)
+    samples, teacher = make_dataset(shift, dspec)
     train = samples[: config.n_train]
     test = samples[config.n_train :]
     specs = config.model_specs(dspec.g0)
@@ -228,7 +229,8 @@ def _train(config: RunConfig, setup, step, average, progress, on_update) -> Metr
     step(batch, topology, alpha_t) runs one update, where topology is the
     redrawn (graph, shift) or None, and returns (train_mse, state handed to
     on_update); average() gives the parameters to evaluate; progress(t)
-    gives (consensus_gap, ledger_snapshot) after update t.
+    gives (consensus_gap, ledger_snapshot) after update t. A non-finite loss
+    is logged, not evaluated, and raises TrainingDiverged.
     """
     _, shift, dspec, teacher, train, test, _, params0, redraw_seed = setup
     redraw_rng = np.random.default_rng(redraw_seed)
@@ -246,15 +248,13 @@ def _train(config: RunConfig, setup, step, average, progress, on_update) -> Metr
                 topology, batch = None, train[bi * config.batch : (bi + 1) * config.batch]
             train_mse, state = step(batch, topology, config.alpha * config.decay**t)
             t += 1
-            if not np.isfinite(train_mse):
-                raise TrainingDiverged(
-                    f"non-finite training loss at update {t}", t, last_good
-                )
-            if t % config.eval_every == 0 or t == total:
+            if np.isfinite(train_mse) and (t % config.eval_every == 0 or t == total):
                 last_good = average()
                 test_mse = evaluate_mse(last_good, shift, test)
             gap, snapshot = progress(t)
             log.records.append(MetricsRecord(t, train_mse, test_mse, gap, snapshot))
+            if not np.isfinite(train_mse):
+                raise TrainingDiverged(f"non-finite training loss at update {t}", t, last_good, log)
             if on_update is not None:
                 on_update(t, state)
     return log
@@ -273,21 +273,22 @@ def train_distributed(config: RunConfig, on_update=None, graph=None) -> TrainRes
         raise ValueError("use train_centralized for the centralized kinds")
     setup = _setup(config, graph)
     graph, shift, _, _, _, _, _, params0, _ = setup
-    net = Network(
-        graph, shift, metropolis_weights(graph), params0, config.optimizer_config(),
-        track_trace=config.track_trace,
-    )
+    net = Network(graph, shift, params0, config.optimizer_config())
 
     def step(batch, topology, alpha_t):
         if topology is not None:
-            net.set_topology(*topology, metropolis_weights(topology[0]))
+            net.set_topology(*topology)
         result = run_minibatch(net, batch, config.strategy, alpha_t=alpha_t, engine=config.engine)
         return result.train_mse, net
 
     def progress(t):
         return net.consensus_gap(), net.ledger.snapshot()
 
-    log = _train(config, setup, step, net.mean_params, progress, on_update)
+    try:
+        log = _train(config, setup, step, net.mean_params, progress, on_update)
+    except TrainingDiverged as err:
+        err.ledger = net.ledger
+        raise
     return TrainResult(net.theta, net.mean_params(), log, net.ledger)
 
 

@@ -104,11 +104,11 @@ def test_criterion_2_distributed_forward_equals_dense(graph_zoo):
     _report(2, f"max deviation {worst:.2e} across {len(graph_zoo)} graphs, {elapsed:.2f}s")
 
 
-def _measure_rounds(L, B, K, strategy, samples, graph, shift, weights):
+def _measure_rounds(L, B, K, strategy, samples, graph, shift):
     specs = tuple(LayerSpec(1, 1, "identity") for _ in range(L))
     kind = "d-sgd" if strategy in ("fwd-only", "piggyback-do") else "d-naive"
     params = ParamSet.from_flat(specs, np.zeros(2 * L))
-    net = Network(graph, shift, weights, params, OptimizerConfig(kind, alpha=1e-3, K=K))
+    net = Network(graph, shift, params, OptimizerConfig(kind, alpha=1e-3, K=K))
     res = run_minibatch(net, samples[:B], strategy, engine="agents")
     return res.ledger.rounds
 
@@ -117,19 +117,18 @@ def test_criterion_3_cost_table_exactness():
     start = time.perf_counter()
     graph = complete_graph(2)
     shift = build_shift(graph, "adjacency")
-    weights = metropolis_weights(graph)
     rng = np.random.default_rng(7)
     samples = [Sample(rng.normal(size=(2, 1)), rng.normal(size=2)) for _ in range(100)]
     for L in range(1, 5):
         for B in range(1, 11):
             for K in range(1, 6):
                 for strategy in STRATEGIES:
-                    measured = _measure_rounds(L, B, K, strategy, samples, graph, shift, weights)
+                    measured = _measure_rounds(L, B, K, strategy, samples, graph, shift)
                     assert measured == expected_rounds(strategy, L, B, K), (
                         f"{strategy} L={L} B={B} K={K}"
                     )
     headline = [
-        _measure_rounds(2, 100, 1, s, samples, graph, shift, weights) for s in STRATEGIES
+        _measure_rounds(2, 100, 1, s, samples, graph, shift) for s in STRATEGIES
     ]
     assert headline == [200, 400, 301, 202, 201]
     elapsed = time.perf_counter() - start
@@ -142,12 +141,11 @@ def test_criterion_4_dsgd_trajectory_identity():
     rng = np.random.default_rng(42)
     g = complete_graph(8)
     shift = build_shift(g, "normalized-adjacency")
-    weights = metropolis_weights(g)
     specs = (LayerSpec(3, 4, "leaky-relu"), LayerSpec(4, 1, "identity"))
     params0 = init_params(specs, "glorot", 5)
     samples = [Sample(rng.normal(size=(8, 3)), rng.normal(size=8)) for _ in range(20)]
     alpha = 1e-3
-    net = Network(g, shift, weights, params0, OptimizerConfig("d-sgd", alpha=alpha))
+    net = Network(g, shift, params0, OptimizerConfig("d-sgd", alpha=alpha))
     theta_c = params0.flatten()
     worst = 0.0
     for t in range(100):
@@ -168,12 +166,11 @@ def test_criterion_5_minibatch_rearrangement_identity():
     rng = np.random.default_rng(9)
     g = complete_graph(4)
     shift = build_shift(g, "normalized-adjacency")
-    weights = metropolis_weights(g)
     specs = (LayerSpec(2, 3, "leaky-relu"), LayerSpec(3, 1, "identity"))
     params0 = init_params(specs, "glorot", 11)
     samples = [Sample(rng.normal(size=(4, 2)), rng.normal(size=4)) for _ in range(6)]
     nets = {
-        strategy: Network(g, shift, weights, params0, OptimizerConfig("d-naive", alpha=1e-2, K=1))
+        strategy: Network(g, shift, params0, OptimizerConfig("d-naive", alpha=1e-2, K=1))
         for strategy in ("naive-per-sample", "per-batch-consensus")
     }
     for strategy, net in nets.items():

@@ -95,7 +95,7 @@ def test_single_node_partials():
     specs = (LayerSpec(2, 1, "identity"),)
     params = ParamSet(specs, [np.array([[0.5], [-1.0]])], [np.array([[0.2], [0.3]])])
     s_ii = 0.7
-    agent = AgentState(0, params, {0: s_ii}, {}, 0)
+    agent = AgentState(0, params, {0: s_ii}, {})
     x = np.array([1.5, -2.0])
     agent.begin_sample(0, x)
     yhat = local_forward_layer(agent, 1, [])
@@ -130,7 +130,7 @@ def test_zero_residuals_give_zero_gradient():
 
 def _stacked_sum_loss(specs, flat_stack, S, X, y):
     th0, th1 = stack_flat_params(specs, flat_stack)
-    res = stacked_gradients(specs, th0, th1, S, X[None], y[None], forward_only=True)
+    res = stacked_gradients(specs, th0, th1, S, X[None], None)
     return float(np.sum((res.yhat[0] - y) ** 2))
 
 

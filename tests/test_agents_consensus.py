@@ -9,7 +9,7 @@ import pytest
 
 from fdgnn.datagen import Sample
 from fdgnn.gcnn import LayerSpec, init_params
-from fdgnn.graphs import build_shift, generate_ba, generate_er, metropolis_weights
+from fdgnn.graphs import build_shift, generate_ba, generate_er
 from fdgnn.netsim import Network, run_minibatch
 from fdgnn.optim import OptimizerConfig
 
@@ -22,8 +22,7 @@ GRAPHS = {
 
 
 def _network(graph, K, seed=0):
-    topology = (graph, build_shift(graph), metropolis_weights(graph))
-    return Network(*topology, init_params(SPECS, "glorot", seed), OptimizerConfig("d-naive", alpha=1e-3, K=K))
+    return Network(graph, build_shift(graph), init_params(SPECS, "glorot", seed), OptimizerConfig("d-naive", alpha=1e-3, K=K))
 
 
 def _samples(n, B, seed):
@@ -62,7 +61,7 @@ def test_a_redrawn_network_matches_a_fresh_one(strategy):
     a, b = generate_ba(16, 2, 0), generate_ba(16, 1, 7)
     moved = _network(a, K=2)
     run_minibatch(moved, _samples(16, 2, 0), strategy, engine="agents")
-    moved.set_topology(b, build_shift(b), metropolis_weights(b))
+    moved.set_topology(b, build_shift(b))
     fresh = _network(b, K=2)
     fresh.set_thetas(moved.theta)
     samples = _samples(16, 2, 1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdgnn.cli import main, make_parser
+from fdgnn.gcnn import load_params
 
 
 def _train_args(tmp_path, *extra):
@@ -131,6 +132,22 @@ def test_train_divergence_exits_numeric(tmp_path):
     rc = main(_train_args(tmp_path, "--lr", "1e12", "--epochs", "5"))
     assert rc == 3
     assert (tmp_path / "out" / "checkpoint.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("engine", ["stacked", "agents"])
+def test_train_abort_writes_the_logs_of_the_updates_that_ran(tmp_path, engine):
+    rc = main(_train_args(tmp_path, "--lr", "1e12", "--epochs", "5", "--trace", "--engine", engine))
+    assert rc == 3
+    out = tmp_path / "out"
+    rows = [line.split(",") for line in (out / "metrics.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(1, len(rows) + 1))
+    assert all(np.isfinite(float(row[2])) for row in rows[:-1])
+    assert not np.isfinite(float(rows[-1][2]))
+    ledger = (out / "ledger.csv").read_text().splitlines()[1].split(",")
+    trace = (out / "trace.csv").read_text().splitlines()[1:]
+    assert int(ledger[4]) == int(rows[-1][1]) == len(trace)
+    assert np.all(np.isfinite(load_params(out / "checkpoint.json").flatten()))
 
 
 def test_compare_runs_seven_methods(tmp_path, monkeypatch):

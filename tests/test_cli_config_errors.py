@@ -80,3 +80,11 @@ def test_train_trace_with_centralized_optimizer_is_config_error(tmp_path, capsys
     assert main(args) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_compare_trace_is_config_error(tmp_path, capsys):
+    args = ["compare", "--trace", "--n", "8", "--n-train", "8", "--n-test", "4", "--batch", "4",
+            "--epochs", "1", "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

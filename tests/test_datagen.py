@@ -26,8 +26,8 @@ def test_default_plan_width():
 
 def test_noiseless_labels_equal_teacher_output(graph):
     spec = DatasetSpec(n_samples=5, noise_var=0.0, seed=3)
-    samples, teacher = make_dataset(graph, spec)
     shift = build_shift(graph, "normalized-adjacency")
+    samples, teacher = make_dataset(shift, spec)
     for s in samples:
         clean, _ = forward(teacher, shift, s.X)
         assert np.array_equal(s.y, clean)
@@ -35,8 +35,8 @@ def test_noiseless_labels_equal_teacher_output(graph):
 
 def test_noise_variance_monte_carlo(graph):
     spec = DatasetSpec(n_samples=1000, noise_var=0.01, seed=4)
-    samples, teacher = make_dataset(graph, spec)
     shift = build_shift(graph, "normalized-adjacency")
+    samples, teacher = make_dataset(shift, spec)
     residuals = []
     for s in samples:
         clean, _ = forward(teacher, shift, s.X)
@@ -47,8 +47,8 @@ def test_noise_variance_monte_carlo(graph):
 
 def test_dataset_deterministic(graph):
     spec = DatasetSpec(n_samples=4, seed=11)
-    a, teacher_a = make_dataset(graph, spec)
-    b, teacher_b = make_dataset(graph, spec)
+    a, teacher_a = make_dataset(build_shift(graph), spec)
+    b, teacher_b = make_dataset(build_shift(graph), spec)
     assert np.array_equal(teacher_a.flatten(), teacher_b.flatten())
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.X, sb.X)
@@ -57,7 +57,7 @@ def test_dataset_deterministic(graph):
 
 def test_feature_blocks_have_expected_support(graph):
     spec = DatasetSpec(n_samples=3, seed=5)
-    samples, _ = make_dataset(graph, spec)
+    samples, _ = make_dataset(build_shift(graph), spec)
     X = samples[0].X
     assert X.shape == (graph.n, 10)
     uniform = X[:, :4]
@@ -110,7 +110,7 @@ def test_split_deterministic_and_validated():
 
 def test_bundle_round_trip(tmp_path, graph):
     spec = DatasetSpec(n_samples=6, seed=9)
-    samples, _ = make_dataset(graph, spec)
+    samples, _ = make_dataset(build_shift(graph), spec)
     save_dataset(samples, spec, graph.n, tmp_path / "bundle")
     loaded, meta = load_dataset(tmp_path / "bundle")
     assert meta["n_samples"] == 6 and meta["n_nodes"] == graph.n
@@ -123,7 +123,7 @@ def test_bundle_round_trip(tmp_path, graph):
 @pytest.mark.parametrize("damage", ["drop-last-label", "inf-feature", "nan-label"])
 def test_load_dataset_rejects_truncated_or_non_finite_bundle(tmp_path, graph, damage):
     spec = DatasetSpec(n_samples=3, seed=2)
-    samples, _ = make_dataset(graph, spec)
+    samples, _ = make_dataset(build_shift(graph), spec)
     bundle = tmp_path / "bundle"
     save_dataset(samples, spec, graph.n, bundle)
     name = "features.csv" if damage == "inf-feature" else "labels.csv"

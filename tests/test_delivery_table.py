@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fdgnn.datagen import Sample
 from fdgnn.gcnn import LayerSpec, init_params
-from fdgnn.graphs import build_shift, generate_ba, metropolis_weights
+from fdgnn.graphs import build_shift, generate_ba
 from fdgnn.netsim import (
     STRATEGIES,
     UPDATE,
@@ -42,12 +42,12 @@ def _specs(L):
     )
 
 
-def _net(strategy, L, K, track_trace=False):
+def _net(strategy, L, K):
     g = generate_ba(N, 2, 1)
     kind = "d-naive" if strategy in CONSENSUS else "d-sgd"
     return Network(
-        g, build_shift(g), metropolis_weights(g), init_params(_specs(L), "glorot", 2),
-        OptimizerConfig(kind, alpha=1e-2, K=K), track_trace=track_trace,
+        g, build_shift(g), init_params(_specs(L), "glorot", 2),
+        OptimizerConfig(kind, alpha=1e-2, K=K),
     )
 
 
@@ -219,7 +219,7 @@ def test_agents_hold_views_of_the_mixed_parameters():
 
 
 def test_network_and_batch_ledgers_billed_alike():
-    net = _net("piggyback-do", 2, 1, track_trace=True)
+    net = _net("piggyback-do", 2, 1)
     results = [run_minibatch(net, _samples(3, seed), "piggyback-do") for seed in range(2)]
     rounds = results[0].ledger.rounds
     assert net.ledger.snapshot() == tuple(2 * x for x in results[0].ledger.snapshot())

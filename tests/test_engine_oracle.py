@@ -24,7 +24,7 @@ N, G0, HIDDEN, UPDATES = 8, 2, 3, 3
 
 def _topology(seed, variant):
     g = generate_ba(N, 2, seed)
-    return g, build_shift(g, variant), metropolis_weights(g)
+    return g, build_shift(g, variant)
 
 
 def _close(got, ref):
@@ -68,5 +68,5 @@ def test_stacked_engine_matches_the_message_level_engine(pairing, L, B, K, varia
         _close(nets["stacked"].theta, nets["agents"].theta)
         assert got.ledger.snapshot() == ref.ledger.snapshot()
         if STRATEGY[strategy].consensus:
-            _close(ref.protocol_consensus, run_consensus(ref.grads, topology[2], K))
+            _close(ref.protocol_consensus, run_consensus(ref.grads, metropolis_weights(topology[0]), K))
     assert nets["stacked"].ledger.snapshot() == nets["agents"].ledger.snapshot()

@@ -17,9 +17,16 @@ from fdgnn.agents import (
 )
 from fdgnn.datagen import DatasetSpec, Sample, load_dataset, save_dataset
 from fdgnn.gcnn import LayerSpec, ParamSet, central_gradient, init_params
-from fdgnn.graphs import Graph, build_shift, generate_ba, metropolis_weights
+from fdgnn.graphs import Graph, build_shift, generate_ba
 from fdgnn.netsim import Network, build_round_plan, run_minibatch
-from fdgnn.optim import MomentState, OptimizerConfig, central_update, damsgrad_update, dnaive_update
+from fdgnn.optim import (
+    MomentState,
+    OptimizerConfig,
+    central_update,
+    consensus_round,
+    damsgrad_update,
+    dnaive_update,
+)
 from fdgnn.trainer import RunConfig
 
 SPECS = (LayerSpec(2, 3, "leaky-relu"), LayerSpec(3, 1))
@@ -48,7 +55,7 @@ def _backward_ready():
 
 
 def _net():
-    return Network(GRAPH, SHIFT, metropolis_weights(GRAPH), PARAMS, OptimizerConfig("d-sgd"))
+    return Network(GRAPH, SHIFT, PARAMS, OptimizerConfig("d-sgd"))
 
 
 def _truncated_bundle(tmp_path):
@@ -90,15 +97,15 @@ CASES = {
     # netsim
     "netsim-plan-sizes": (lambda tmp: build_round_plan(0, 1, 1, "fwd-only"), ValueError, "need L >= 1 and B >= 1"),
     "netsim-redraw-node-set": (
-        lambda tmp: _net().set_topology(generate_ba(7, 2, 0), SHIFT, metropolis_weights(GRAPH)),
+        lambda tmp: _net().set_topology(generate_ba(7, 2, 0), SHIFT),
         ValueError, "must keep the node set"),
     "netsim-engine": (
         lambda tmp: run_minibatch(_net(), [Sample(np.ones((6, 2)), np.ones(6))], "piggyback-do", engine="gpu"),
         ValueError, "unknown engine 'gpu'"),
     # optim
     "optim-vhat-buffer": (
-        lambda tmp: damsgrad_update(np.zeros((2, 3)), MomentState.zeros((2, 3)), np.eye(2), 0.1, np.zeros((2, 3)),
-                                    OptimizerConfig("d-amsgrad")),
+        lambda tmp: damsgrad_update(consensus_round(np.zeros((2, 3)), np.eye(2)), MomentState.zeros((2, 3)),
+                                    np.eye(2), 0.1, np.zeros((2, 3)), OptimizerConfig("d-amsgrad")),
         ValueError, "must carry a vhat buffer"),
     "optim-dnaive-grads": (
         lambda tmp: dnaive_update(np.zeros((2, 3)), np.eye(2), 1, 0.1, np.zeros((2, 2, 3))),

@@ -4,7 +4,7 @@ import pytest
 from fdgnn import netsim
 from fdgnn.datagen import Sample
 from fdgnn.gcnn import LayerSpec, init_params
-from fdgnn.graphs import build_shift, generate_ba, metropolis_weights
+from fdgnn.graphs import build_shift, generate_ba
 from fdgnn.netsim import (
     STRATEGIES,
     CausalityError,
@@ -33,14 +33,13 @@ def _specs(g0=2, hidden=3, layers=2):
     )
 
 
-def _net(kind="d-sgd", n=4, specs=None, seed=0, K=1, track_trace=False, alpha=1e-3):
+def _net(kind="d-sgd", n=4, specs=None, seed=0, K=1, alpha=1e-3):
     specs = specs or _specs()
     g = complete_graph(n)
     shift = build_shift(g, "normalized-adjacency")
-    W = metropolis_weights(g)
     params = init_params(specs, "glorot", seed)
     cfg = OptimizerConfig(kind, alpha=alpha, K=K)
-    return Network(g, shift, W, params, cfg, track_trace=track_trace)
+    return Network(g, shift, params, cfg)
 
 
 def _samples(n, g0, B, seed=0):
@@ -171,7 +170,7 @@ def test_fwd_only_scalar_accounting():
 
 def test_piggyback_do_round_sizes():
     specs = _specs(g0=2, hidden=3, layers=2)  # widths 2,3,1 -> dim 18
-    net = _net(kind="d-sgd", specs=specs, seed=1, track_trace=True)
+    net = _net(kind="d-sgd", specs=specs, seed=1)
     samples = _samples(4, 2, 3, seed=10)
     res = run_minibatch(net, samples, "piggyback-do", engine="agents")
     trace = res.ledger.trace
@@ -209,7 +208,7 @@ def test_ledger_deterministic_across_runs():
     snaps = []
     traces = []
     for _ in range(2):
-        net = _net(kind="d-sgd", specs=specs, seed=6, track_trace=True)
+        net = _net(kind="d-sgd", specs=specs, seed=6)
         res = run_minibatch(net, samples, "piggyback-do", engine="agents")
         snaps.append(res.ledger.snapshot())
         traces.append([(t.index, t.kinds, t.per_node_scalars) for t in res.ledger.trace])
@@ -296,7 +295,7 @@ def test_ledger_report_and_csv(tmp_path):
 
 def test_trace_csv(tmp_path):
     specs = _specs()
-    net = _net(kind="d-sgd", specs=specs, track_trace=True)
+    net = _net(kind="d-sgd", specs=specs)
     res = run_minibatch(net, _samples(4, 2, 2, seed=15), "piggyback-do", engine="agents")
     path = tmp_path / "trace.csv"
     write_trace_csv(path, res.ledger)

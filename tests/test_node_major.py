@@ -52,7 +52,7 @@ def test_stacked_matches_dense_on_nonsymmetric_shift(L, B, sparse):
     y = rng.normal(size=(B, n))
     th0, th1 = stack_flat_params(specs, np.tile(params.flatten(), (n, 1)))
 
-    fwd = stacked_gradients(specs, th0, th1, S_in, X, None, forward_only=True)
+    fwd = stacked_gradients(specs, th0, th1, S_in, X, None)
     assert fwd.grads is None
     res = stacked_gradients(specs, th0, th1, S_in, X, y)
     dense_yhat = np.stack([forward(params, S, x)[0] for x in X])
@@ -89,7 +89,7 @@ def test_evaluate_mse_is_bitwise_the_per_sample_formula():
     graph = generate_ba(12, 2, 3)
     shift = build_shift(graph, "normalized-adjacency")
     dspec = DatasetSpec(n_samples=9, teacher_specs=default_teacher_specs(10, 6), seed=4)
-    samples, _ = make_dataset(graph, dspec, "normalized-adjacency")
+    samples, _ = make_dataset(shift, dspec)
     params = init_params(_specs(2, g0=10), "glorot", 5)
     total = 0.0
     for s in samples:

@@ -64,7 +64,7 @@ def test_dsgd_zero_gradients_is_pure_consensus():
     W = _weights(path_graph(4))
     rng = np.random.default_rng(0)
     thetas = rng.normal(size=(4, 6))
-    out = dsgd_update(thetas, W, 0.1, np.zeros((4, 6)))
+    out = dsgd_update(consensus_round(thetas, W), 0.1, np.zeros((4, 6)))
     assert np.allclose(out, W @ thetas, atol=1e-15)
 
 
@@ -72,7 +72,7 @@ def test_dsgd_equal_state_equal_gradients_matches_plain_step():
     W = _weights(complete_graph(5))
     theta = np.tile(np.arange(3.0), (5, 1))
     g = np.tile(np.array([1.0, -1.0, 0.5]), (5, 1))
-    out = dsgd_update(theta, W, 0.2, g)
+    out = dsgd_update(consensus_round(theta, W), 0.2, g)
     assert np.allclose(out, theta - 0.2 * g, atol=1e-14)
 
 
@@ -90,7 +90,7 @@ def test_dsgd_mean_trajectory_exact_on_complete_graph():
     for _ in range(100):
         psi = consensus_round(thetas, W)
         grads = np.einsum("nij,nj->ni", A, psi) + b
-        thetas = dsgd_update(thetas, W, alpha, grads, premixed=psi)
+        thetas = dsgd_update(psi, alpha, grads)
         grad_c = (np.einsum("nij,j->ni", A, theta_c) + b).mean(axis=0)
         theta_c = theta_c - alpha * grad_c
         assert np.max(np.abs(thetas.mean(axis=0) - theta_c)) < 1e-10
@@ -146,7 +146,7 @@ def test_dadam_single_node_reduces_to_adam():
     thetas = np.zeros((1, 4))
     moments = MomentState.zeros((1, 4))
     for g in grads:
-        thetas = dadam_update(thetas, moments, W, cfg.alpha, g[None], cfg)
+        thetas = dadam_update(consensus_round(thetas, W), moments, cfg.alpha, g[None], cfg)
     assert np.allclose(thetas[0], _reference_adam(grads, 0.01), atol=1e-14)
 
 
@@ -156,7 +156,7 @@ def test_dadam_zero_gradients_is_consensus_only():
     cfg = OptimizerConfig("d-adam", alpha=0.1)
     thetas = np.random.default_rng(1).normal(size=(3, 2))
     moments = MomentState.zeros((3, 2))
-    out = dadam_update(thetas, moments, W, cfg.alpha, np.zeros((3, 2)), cfg)
+    out = dadam_update(consensus_round(thetas, W), moments, cfg.alpha, np.zeros((3, 2)), cfg)
     assert np.allclose(out, W @ thetas, atol=1e-14)
 
 
@@ -167,7 +167,7 @@ def test_dadam_local_momenta_diverge_across_nodes():
     moments = MomentState.zeros((2, 3))
     grads = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
     for _ in range(4):
-        thetas = dadam_update(thetas, moments, W, cfg.alpha, grads, cfg)
+        thetas = dadam_update(consensus_round(thetas, W), moments, cfg.alpha, grads, cfg)
     assert np.max(np.abs(moments.m[0] - moments.m[1])) > 0.1
 
 
@@ -179,7 +179,7 @@ def test_damsgrad_single_node_reduces_to_amsgrad():
     thetas = np.zeros((1, 4))
     moments = MomentState.zeros((1, 4), with_vhat=True)
     for g in grads:
-        thetas = damsgrad_update(thetas, moments, W, cfg.alpha, g[None], cfg)
+        thetas = damsgrad_update(consensus_round(thetas, W), moments, W, cfg.alpha, g[None], cfg)
     assert np.allclose(thetas[0], _reference_amsgrad(grads, 0.01), atol=1e-14)
 
 
@@ -191,7 +191,7 @@ def test_damsgrad_zero_gradients_converges_to_initial_consensus():
     target = thetas.mean(axis=0)
     moments = MomentState.zeros((4, 2), with_vhat=True)
     for _ in range(500):
-        thetas = damsgrad_update(thetas, moments, W, cfg.alpha, np.zeros((4, 2)), cfg)
+        thetas = damsgrad_update(consensus_round(thetas, W), moments, W, cfg.alpha, np.zeros((4, 2)), cfg)
     assert np.max(np.abs(thetas - target)) < 1e-6
     assert not moments.m.any() and not moments.v.any()
 
@@ -207,7 +207,7 @@ def test_damsgrad_vhat_monotone(seed, steps):
     prev = moments.vhat.copy()
     for _ in range(steps):
         g = rng.normal(size=(3, 4)) * rng.exponential(1.0)
-        thetas = damsgrad_update(thetas, moments, W, cfg.alpha, g, cfg)
+        thetas = damsgrad_update(consensus_round(thetas, W), moments, W, cfg.alpha, g, cfg)
         assert np.all(moments.vhat >= prev)
         prev = moments.vhat.copy()
 
@@ -221,10 +221,10 @@ def test_damsgrad_optional_v_consensus_changes_result():
     thetas = rng.normal(size=(3, 2))
     m1 = MomentState.zeros((3, 2), with_vhat=True)
     m2 = MomentState.zeros((3, 2), with_vhat=True)
-    a = damsgrad_update(thetas, m1, W, 0.1, grads, base_cfg)
-    a = damsgrad_update(a, m1, W, 0.1, grads, base_cfg)
-    b = damsgrad_update(thetas, m2, W, 0.1, grads, v_cfg)
-    b = damsgrad_update(b, m2, W, 0.1, grads, v_cfg)
+    a = damsgrad_update(consensus_round(thetas, W), m1, W, 0.1, grads, base_cfg)
+    a = damsgrad_update(consensus_round(a, W), m1, W, 0.1, grads, base_cfg)
+    b = damsgrad_update(consensus_round(thetas, W), m2, W, 0.1, grads, v_cfg)
+    b = damsgrad_update(consensus_round(b, W), m2, W, 0.1, grads, v_cfg)
     assert np.max(np.abs(a - b)) > 0
 
 

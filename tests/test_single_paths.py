@@ -11,7 +11,7 @@ import pytest
 from fdgnn import netsim
 from fdgnn.datagen import Sample
 from fdgnn.gcnn import LayerSpec, ParamSet, central_gradient, forward, init_params, mse_loss
-from fdgnn.graphs import build_shift, generate_ba, generate_er, metropolis_weights
+from fdgnn.graphs import build_shift, generate_ba, generate_er
 from fdgnn.netsim import (
     STRATEGIES,
     CausalityError,
@@ -27,12 +27,12 @@ from fdgnn.trainer import RunConfig, _redraw, _setup, evaluate_mse, train_centra
 SPECS = (LayerSpec(2, 3, "leaky-relu"), LayerSpec(3, 1, "identity"))
 
 
-def _net(kind="d-sgd", n=6, K=1, track_trace=False, seed=0):
+def _net(kind="d-sgd", n=6, K=1, seed=0):
     g = generate_ba(n, 2, seed)
     params = init_params(SPECS, "glorot", seed)
     return Network(
-        g, build_shift(g), metropolis_weights(g), params,
-        OptimizerConfig(kind, alpha=1e-2, K=K), track_trace=track_trace,
+        g, build_shift(g), params,
+        OptimizerConfig(kind, alpha=1e-2, K=K),
     )
 
 
@@ -109,13 +109,13 @@ def test_plan_built_and_audited_once_per_network(monkeypatch, engine):
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_ledger_same_with_trace_on_and_off(strategy, engine):
     samples = _samples(6, 3, seed=4)
-    nets = [_net(kind=_kind(strategy), K=2, track_trace=trace) for trace in (False, True)]
+    nets = [_net(kind=_kind(strategy), K=2) for _ in range(2)]
     results = [
         [run_minibatch(net, samples, strategy, engine=engine) for _ in range(2)] for net in nets
     ]
     off, on = nets
     assert off.ledger.snapshot() == on.ledger.snapshot()
-    assert not off.ledger.trace
+    assert off.ledger.trace == on.ledger.trace
     sizes = [tr.per_node_scalars for tr in on.ledger.trace]
     assert on.ledger.snapshot() == (len(sizes), 6 * len(sizes), 6 * sum(sizes))
     assert [tr.index for tr in on.ledger.trace] == list(range(1, len(sizes) + 1))
@@ -136,7 +136,7 @@ def test_agents_built_on_first_agents_run_and_dropped_by_set_topology(monkeypatc
         run_minibatch(net, _samples(8, 2), "piggyback-do", engine="agents")
     assert len(built) == 1
     g = generate_ba(8, 2, 7)
-    net.set_topology(g, build_shift(g), metropolis_weights(g))
+    net.set_topology(g, build_shift(g))
     run_minibatch(net, _samples(8, 2), "piggyback-do", engine="agents")
     assert len(built) == 2
 

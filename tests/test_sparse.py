@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdgnn import datagen, graphs, trainer
+from fdgnn import datagen, graphs, netsim, trainer
 from fdgnn.agents import make_agents, stack_flat_params, stacked_gradients
 from fdgnn.gcnn import central_gradient, forward, init_params
 from fdgnn.graphs import (
@@ -88,16 +88,19 @@ def test_make_agents_reads_a_plain_csr_by_column(variant):
 
 
 def _force_dense(monkeypatch):
-    """Make the trainer and the data generator build dense S and W."""
+    """Make the trainer build a dense S and the network a dense W."""
     def shift(g, variant="normalized-adjacency"):
         return ShiftOperator(variant, build_shift(g, variant).S)
 
     def weights(g):
         return ConsensusWeights(metropolis_weights(g).W)
 
-    for module in (trainer, datagen):
-        monkeypatch.setattr(module, "build_shift", shift)
-    monkeypatch.setattr(trainer, "metropolis_weights", weights)
+    monkeypatch.setattr(trainer, "build_shift", shift)
+    monkeypatch.setattr(netsim, "metropolis_weights", weights)
+
+
+def _dense_forms(net):
+    return isinstance(net.shift.matrix, np.ndarray), isinstance(net.weights.matrix, np.ndarray)
 
 
 @pytest.mark.parametrize("mode", ["fixed", "redraw-per-batch"])
@@ -108,9 +111,13 @@ def test_training_runs_agree_across_forms(monkeypatch, kind, variant, mode):
     cfg = RunConfig(graph=kind, n=n, p=p, shift=variant, topology_mode=mode, layers=2,
                     hidden=4, n_train=6, n_test=3, batch=3, epochs=2, eval_every=1,
                     optimizer="d-amsgrad", alpha=1e-2, seed=2)
-    sparse = train_distributed(cfg)
+    forms = []
+    sparse = train_distributed(cfg, on_update=lambda t, net: forms.append(_dense_forms(net)))
     _force_dense(monkeypatch)
-    dense = train_distributed(cfg)
+    dense = train_distributed(cfg, on_update=lambda t, net: forms.append(_dense_forms(net)))
+    # Each update of the forced run holds dense S and W, so the runs compare two forms.
+    updates = cfg.epochs * (cfg.n_train // cfg.batch)
+    assert forms == [(False, False)] * updates + [(True, True)] * updates
     assert_agree(sparse.node_params, dense.node_params)
     for a, b in zip(sparse.log.records, dense.log.records):
         assert_agree([a.train_mse, a.test_mse, a.consensus_gap], [b.train_mse, b.test_mse, b.consensus_gap])
@@ -152,7 +159,7 @@ def test_sparse_runs_never_densify(monkeypatch):
         raise AssertionError("a sparse operator was densified")
 
     g = generate_ba(400, 2, 4)
-    shift, weights = build_shift(g), metropolis_weights(g)
+    shift = build_shift(g)
     assert not isinstance(shift.matrix, np.ndarray)
     monkeypatch.setattr(graphs._Stored, "dense", refuse)
     monkeypatch.setattr(csr_array, "toarray", refuse)
@@ -164,7 +171,8 @@ def test_sparse_runs_never_densify(monkeypatch):
     spec = datagen.DatasetSpec(n_samples=2, teacher_specs=teacher.specs)
     samples = datagen.draw_samples(teacher, shift, spec, 2, np.random.default_rng(0))
     for engine, batch in (("stacked", samples), ("agents", samples[:1])):
-        net = Network(g, shift, weights, init_params(specs, "glorot", 0), OptimizerConfig("d-amsgrad"))
+        net = Network(g, shift, init_params(specs, "glorot", 0), OptimizerConfig("d-amsgrad"))
+        assert not isinstance(net.weights.matrix, np.ndarray)
         result = run_minibatch(net, batch, "piggyback-do", engine=engine)
         assert np.isfinite(result.train_mse)
 

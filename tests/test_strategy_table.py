@@ -38,7 +38,7 @@ def _net(kind, K=1, L=2):
     widths = [2] + [3] * (L - 1) + [1]
     specs = tuple(LayerSpec(widths[k], widths[k + 1], "leaky-relu") for k in range(L))
     return Network(
-        g, build_shift(g), metropolis_weights(g), init_params(specs, "glorot", 2),
+        g, build_shift(g), init_params(specs, "glorot", 2),
         OptimizerConfig(kind, alpha=1e-2, K=K),
     )
 
@@ -91,7 +91,7 @@ def test_dnaive_apply_is_dnaive_update():
     thetas, batch = rng.normal(size=(N, 4)), rng.normal(size=(N, 4))
     opt = DistOptimizer(OptimizerConfig("d-naive", K=2), N, 4)
     assert np.array_equal(
-        opt.apply(thetas, thetas, W, batch, 0.1),
+        opt.apply(thetas, W, batch, 0.1),
         dnaive_update(thetas, W, 2, 0.1, batch),
     )
 
@@ -119,7 +119,7 @@ def test_stacked_naive_per_sample_holds_no_per_sample_gradients():
     samples = [Sample(rng.normal(size=(n, 10)), rng.normal(size=n)) for _ in range(B)]
     peaks = {}
     for strategy in ("naive-per-sample", "per-batch-consensus"):
-        net = Network(g, build_shift(g), metropolis_weights(g), init_params(specs, "glorot", 0),
+        net = Network(g, build_shift(g), init_params(specs, "glorot", 0),
                       OptimizerConfig("d-naive", K=2))
         run_minibatch(net, samples, strategy)  # builds and audits the plan
         tracemalloc.start()

@@ -100,6 +100,17 @@ def test_divergence_aborts_with_checkpoint():
     assert err.value.step >= 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_carries_the_log_and_ledger_of_the_updates_that_ran():
+    with pytest.raises(TrainingDiverged) as err:
+        train_distributed(tiny_config(alpha=1e12, epochs=5))
+    log, ledger = err.value.log, err.value.ledger
+    assert [r.t for r in log.records] == list(range(1, err.value.step + 1))
+    assert not np.isfinite(log.final.train_mse)
+    assert log.final.ledger_snapshot == ledger.snapshot()
+    assert len(ledger.trace) == ledger.rounds
+
+
 def test_redraw_topology_mode_runs_and_reproduces():
     cfg = tiny_config(topology_mode="redraw-per-batch", epochs=2)
     a = train_distributed(cfg)
