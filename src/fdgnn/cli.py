@@ -1,7 +1,7 @@
 """Command-line entry point: run training, compare methods, report costs, gradient check.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical aborts.
-`compare` runs one worker thread per usable CPU, up to one per method; FDGNN_THREADS overrides.
+`compare` runs one worker thread per usable CPU, up to one per training; FDGNN_THREADS overrides.
 """
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .agents import stack_flat_params, stacked_gradients
-from .gcnn import ParamSet, central_gradient, forward, init_params, mse_loss, save_params
-from .graphs import Graph, build_shift, generate_er
-from .netsim import cost_table, write_ledger_csv, write_trace_csv
+from .gcnn import central_gradient, fd_gradient, init_params, save_params
+from .graphs import build_shift, generate_er
+from .netsim import cost_table, expected_rounds, write_ledger_csv, write_trace_csv
 from .optim import CENTRAL_KINDS
 from .trainer import (
     CHOICES,
@@ -26,6 +26,7 @@ from .trainer import (
     RunConfig,
     TrainingDiverged,
     TrainResult,
+    _setup,
     train_centralized,
     train_distributed,
 )
@@ -43,6 +44,8 @@ COMPARE_METHODS = (
     ("d-adam", "d-adam", "piggyback-do"),
     ("d-amsgrad", "d-amsgrad", "piggyback-do"),
 )
+# Row -> the row whose training it reuses: every d-naive strategy applies one update.
+_REBILLED = {"d-naive-piggyback": "d-naive"}
 
 
 class ConfigError(ValueError):
@@ -74,9 +77,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="out", help="output directory")
 
 
-def build_config(args: argparse.Namespace) -> tuple[RunConfig, Graph]:
+def build_config(args: argparse.Namespace) -> tuple[RunConfig, tuple]:
     """Defaults, then config-file values, then explicit flags; returns the
-    validated config and the run graph that validation drew."""
+    validated config and the run's set-up (`trainer._setup`)."""
     types = {f.name: f.type for f in fields(RunConfig)}
     values = {}
     if args.config:
@@ -94,28 +97,29 @@ def build_config(args: argparse.Namespace) -> tuple[RunConfig, Graph]:
                 raise ConfigError(f"config key {name!r} must be {types[name]}, got {value!r}")
     values.update((k, v) for k, v in vars(args).items() if k in types and v is not None)
     cfg = RunConfig(**values)
+    if cfg.track_trace and args.command == "compare":
+        raise ConfigError("--trace is for train: compare writes no per-method trace")
     try:
-        return cfg, cfg.validate()
+        cfg.validate()
+        return cfg, _setup(cfg)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
 
-def _run_one(cfg: RunConfig, graph: Graph):
+def _run_one(cfg: RunConfig, setup: tuple):
     train = train_centralized if cfg.optimizer in CENTRAL_KINDS else train_distributed
-    return train(cfg, graph=graph)
+    return train(cfg, setup=setup)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg, graph = build_config(args)
-    if cfg.track_trace and cfg.optimizer in CENTRAL_KINDS:
-        raise ConfigError("--trace needs a distributed optimizer: a centralized run sends no messages")
+    cfg, setup = build_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     code = EXIT_OK
     try:
-        result = _run_one(cfg, graph)
+        result = _run_one(cfg, setup)
     except TrainingDiverged as err:  # log every update that ran; checkpoint the last evaluated average
-        print(f"aborted: {err} (last finite checkpoint written)", file=sys.stderr)
+        print(f"aborted: {err} (checkpoint.json holds the last evaluated node average)", file=sys.stderr)
         result, code = TrainResult(None, err.last_params, err.log, err.ledger), EXIT_NUMERIC
     result.log.to_csv(out / "metrics.csv")
     save_params(result.theta_star, out / "checkpoint.json")
@@ -128,21 +132,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     write_ledger_csv(out / "ledger.csv", [row])
     if code != EXIT_OK:
         return code
-    print(
-        f"{cfg.optimizer} on {cfg.graph} n={cfg.n}: "
-        f"{final.t} updates, {final.rounds} rounds, "
-        f"train_mse={final.train_mse:.6f}, test_mse={final.test_mse:.6f}"
-    )
+    print(f"{cfg.optimizer} on {cfg.graph} n={cfg.n}: {final.t} updates, {final.rounds} rounds, "
+          f"train_mse={final.train_mse:.6f}, test_mse={final.test_mse:.6f}")
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg, graph = build_config(args)
-    if cfg.track_trace:
-        raise ConfigError("--trace is for train: compare writes no per-method trace")
+    cfg, setup = build_config(args)
+    trained = [method for method in COMPARE_METHODS if method[0] not in _REBILLED]
     env = os.environ.get("FDGNN_THREADS")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(COMPARE_METHODS), cpus or 1)
+    workers = min(len(trained), cpus or 1)
     if env:
         try:
             workers = max(1, int(env))
@@ -154,21 +154,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     def run(method):
         name, kind, strategy = method
         run_cfg = replace(cfg, optimizer=kind, strategy=strategy or cfg.strategy)
-        return name, _run_one(run_cfg, graph)
+        return name, _run_one(run_cfg, setup).log.records
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, COMPARE_METHODS))
-
+        records = dict(pool.map(run, trained))
     lines = [f"method,{METRICS_COLUMNS}"]
-    for name, res in results:
-        lines += [f"{name},{r.csv_row()}" for r in res.log.records]
+    for name, _, strategy in COMPARE_METHODS:
+        if name in _REBILLED:  # billed on the round axis only, as the centralized runs are
+            per_update = expected_rounds(strategy, cfg.layers, cfg.batch, cfg.K)
+            records[name] = [replace(r, ledger_snapshot=(r.t * per_update, 0, 0))
+                             for r in records[_REBILLED[name]]]
+        lines += [f"{name},{r.csv_row()}" for r in records[name]]
+        final = records[name][-1]
+        print(f"{name:>18}: rounds={final.rounds:>8} "
+              f"train_mse={final.train_mse:.6f} test_mse={final.test_mse:.6f}")
     (out / "compare.csv").write_text("\n".join(lines) + "\n")
-    for name, res in results:
-        final = res.log.final
-        print(
-            f"{name:>18}: rounds={final.rounds:>8} "
-            f"train_mse={final.train_mse:.6f} test_mse={final.test_mse:.6f}"
-        )
     return EXIT_OK
 
 
@@ -193,18 +193,6 @@ def cmd_costs(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else 1
 
 
-def _finite_difference(specs, theta, shift, X, y):
-    grad = np.zeros_like(theta)
-    for k in range(theta.size):
-        bumped = theta.copy()
-        bumped[k] += 1e-6
-        hi, _ = forward(ParamSet.from_flat(specs, bumped), shift, X)
-        bumped[k] -= 2e-6
-        lo, _ = forward(ParamSet.from_flat(specs, bumped), shift, X)
-        grad[k] = (mse_loss(y, hi) - mse_loss(y, lo)) / 2e-6
-    return grad
-
-
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.n < 2 or args.layers < 1 or args.seed < 0:
         raise ConfigError("need n >= 2, layers >= 1 and seed >= 0")
@@ -223,7 +211,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     local = stacked_gradients(specs, th0, th1, shift, X[None], y[None]).grads
     averaged = local.mean(axis=0)
     dense = central_gradient(params, shift, X, y)
-    fd = _finite_difference(specs, theta, shift, X, y)
+    fd = fd_gradient(specs, theta, shift, X, y)
     mask = np.abs(fd) > 1e-8
     rel_fd = float(np.max(np.abs(averaged[mask] - fd[mask]) / np.abs(fd[mask])))
     rel_dense = float(

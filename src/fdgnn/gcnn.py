@@ -237,6 +237,19 @@ def central_gradient(params: ParamSet, shift, X: np.ndarray, y: np.ndarray) -> n
     return grad
 
 
+def fd_gradient(specs, theta: np.ndarray, shift, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Central differences (step 1e-6) of mse_loss(forward(...)): an oracle using only the forward pass."""
+    grad = np.zeros_like(theta)
+    for k in range(theta.size):
+        bumped = theta.copy()
+        bumped[k] += 1e-6
+        hi, _ = forward(ParamSet.from_flat(specs, bumped), shift, X)
+        bumped[k] -= 2e-6
+        lo, _ = forward(ParamSet.from_flat(specs, bumped), shift, X)
+        grad[k] = (mse_loss(y, hi) - mse_loss(y, lo)) / 2e-6
+    return grad
+
+
 def save_params(params: ParamSet, path: str | Path) -> None:
     """Checkpoint as JSON: layer widths, activations, and the flat weight vector."""
     payload = {

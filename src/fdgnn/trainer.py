@@ -86,12 +86,10 @@ class RunConfig:
         default=False, metadata={"help": "also export the per-round message-size trace"}
     )
 
-    def validate(self, graph: Graph | None = None) -> Graph:
-        """Reject a bad configuration before anything runs, and return the
-        run's graph: `graph` when given (what an earlier call returned), else
-        drawn with its own graph seed or read from its file. The graph
+    def validate(self) -> None:
+        """Reject a bad configuration before anything runs. The graph
         generators, optimizer config, model specs and dataset spec check
-        their own fields."""
+        their own fields; `_setup` reports a graph it cannot draw or read."""
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"unknown {name.replace('_', ' ')} {getattr(self, name)!r}")
@@ -111,12 +109,8 @@ class RunConfig:
             raise ValueError("cannot redraw topology for a fixed graph file")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if graph is not None:
-            return graph
-        try:
-            return _build_graph(self, _spawn_seeds(self.seed, 4)[0])
-        except (OSError, GraphGenerationError) as err:
-            raise ValueError(f"cannot build the {self.graph} graph: {err}") from err
+        if self.track_trace and opt.kind in CENTRAL_KINDS:
+            raise ValueError("track_trace needs a distributed optimizer: a centralized run sends no messages")
 
     def optimizer_config(self) -> OptimizerConfig:
         names = [f.name for f in fields(OptimizerConfig) if f.name != "kind"]
@@ -180,10 +174,6 @@ class TrainResult:
     ledger: object | None = None
 
 
-def _spawn_seeds(seed: int, k: int) -> list[int]:
-    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(k)]
-
-
 def _build_graph(config: RunConfig, seed: int) -> Graph:
     if config.graph == "ba":
         return generate_ba(config.n, config.m, seed)
@@ -202,9 +192,15 @@ def evaluate_mse(params: ParamSet, shift, samples) -> float:
     return sum(mse_loss(s.y, row) for s, row in zip(samples, yhat)) / len(samples)
 
 
-def _setup(config: RunConfig, graph: Graph | None = None):
-    graph = config.validate(graph)
-    _, data_seed, init_seed, redraw_seed = _spawn_seeds(config.seed, 4)
+def _setup(config: RunConfig):
+    """Graph, shift, dataset, initial parameters and redraw seed, drawn from
+    `config.seed`; no trainer writes to them, so runs can share them."""
+    seeds = np.random.SeedSequence(config.seed).spawn(4)
+    graph_seed, data_seed, init_seed, redraw_seed = (int(s.generate_state(1)[0]) for s in seeds)
+    try:
+        graph = _build_graph(config, graph_seed)
+    except (OSError, GraphGenerationError) as err:
+        raise ValueError(f"cannot build the {config.graph} graph: {err}") from err
     shift = build_shift(graph, config.shift)
     dspec = config.dataset_spec(data_seed)
     samples, teacher = make_dataset(shift, dspec)
@@ -260,18 +256,19 @@ def _train(config: RunConfig, setup, step, average, progress, on_update) -> Metr
     return log
 
 
-def train_distributed(config: RunConfig, on_update=None, graph=None) -> TrainResult:
+def train_distributed(config: RunConfig, on_update=None, setup=None) -> TrainResult:
     """Run the full synchronous-round protocol for `epochs` passes.
 
     Returns the (n, dim) per-node parameter array, its node average, and the
     metrics log. Test evaluation uses the node-average parameters in a dense
     forward pass; it is instrumentation, not part of the protocol.
-    on_update(t, net) receives the Network. `graph`, when given, is the one
-    `config.validate()` returned, so it is not drawn or read again.
+    on_update(t, net) receives the Network. `setup`, when given, is `_setup`'s
+    result for a config with the same graph, data, model and seed fields.
     """
     if config.optimizer in CENTRAL_KINDS:
         raise ValueError("use train_centralized for the centralized kinds")
-    setup = _setup(config, graph)
+    config.validate()
+    setup = _setup(config) if setup is None else setup
     graph, shift, _, _, _, _, _, params0, _ = setup
     net = Network(graph, shift, params0, config.optimizer_config())
 
@@ -292,17 +289,18 @@ def train_distributed(config: RunConfig, on_update=None, graph=None) -> TrainRes
     return TrainResult(net.theta, net.mean_params(), log, net.ledger)
 
 
-def train_centralized(config: RunConfig, on_update=None, graph=None) -> TrainResult:
+def train_centralized(config: RunConfig, on_update=None, setup=None) -> TrainResult:
     """Mini-batch baseline on a single shared parameter vector.
 
     The gradient is the stacked kernel's node mean with every node holding
     the same weights. The round axis charges L*B forward-pass rounds per
     mini-batch. on_update(t, theta) receives the flat parameter vector;
-    `graph` is as in `train_distributed`.
+    `setup` is as in `train_distributed`.
     """
     if config.optimizer not in CENTRAL_KINDS:
         raise ValueError("use train_distributed for the distributed kinds")
-    setup = _setup(config, graph)
+    config.validate()
+    setup = _setup(config) if setup is None else setup
     graph, shift, _, _, _, _, specs, params0, _ = setup
     opt = CentralOptimizer(config.optimizer_config(), params0.dim)
     theta = params0.flatten()

@@ -286,3 +286,48 @@ def test_train_reads_the_graph_file_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, trainer, "load_edge_list")
     assert main(_train_args(tmp_path, "--graph", "file", "--graph-file", str(path))) == 0
     assert len(calls) == 1
+
+
+def test_compare_sets_up_once_and_trains_six_times(tmp_path, monkeypatch):
+    from fdgnn import cli, trainer
+
+    datasets = _count_calls(monkeypatch, trainer, "make_dataset")
+    distributed = _count_calls(monkeypatch, cli, "train_distributed")
+    centralized = _count_calls(monkeypatch, cli, "train_centralized")
+    argv = _train_args(tmp_path, "--epochs", "1")
+    argv[0] = "compare"
+    assert main(argv) == 0
+    assert len(datasets) == 1
+    assert (len(distributed), len(centralized)) == (4, 2)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "redraw-per-batch"])
+@pytest.mark.parametrize("engine", ["stacked", "agents"])
+def test_compare_piggyback_row_is_a_piggyback_consensus_training(tmp_path, monkeypatch, engine, mode):
+    from fdgnn.trainer import RunConfig, train_distributed
+
+    monkeypatch.setenv("FDGNN_THREADS", "1")
+    argv = _train_args(tmp_path, "--engine", engine, "--topology-mode", mode)
+    argv[0] = "compare"
+    assert main(argv) == 0
+    lines = (tmp_path / "out" / "compare.csv").read_text().splitlines()
+    written = [ln for ln in lines if ln.startswith("d-naive-piggyback,")]
+    cfg = RunConfig(graph="ba", n=8, m=2, n_train=8, n_test=4, batch=4, epochs=2, hidden=3,
+                    eval_every=1, seed=5, engine=engine, topology_mode=mode,
+                    optimizer="d-naive", strategy="piggyback-consensus")
+    records = train_distributed(cfg).log.records
+    assert written == [f"d-naive-piggyback,{r.csv_row()}" for r in records]
+
+
+def test_compare_shares_a_csr_setup_across_threads(tmp_path, monkeypatch, capsys):
+    from fdgnn.trainer import RunConfig, _setup
+
+    flags = ["--n", "120", "--n-train", "8", "--n-test", "4", "--batch", "4", "--epochs", "2",
+             "--hidden", "3", "--eval-every", "1", "--seed", "3"]
+    assert hasattr(_setup(RunConfig(n=120, n_train=8, n_test=4, batch=4, seed=3))[1].matrix, "tocsr")
+    outputs = []
+    for threads in ("1", "7"):
+        monkeypatch.setenv("FDGNN_THREADS", threads)
+        assert main(["compare", *flags, "--out", str(tmp_path / threads)]) == 0
+        outputs.append((capsys.readouterr().out, (tmp_path / threads / "compare.csv").read_bytes()))
+    assert outputs[0] == outputs[1]

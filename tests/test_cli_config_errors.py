@@ -88,3 +88,14 @@ def test_compare_trace_is_config_error(tmp_path, capsys):
     assert main(args) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["train", "--optimizer", "central-adam", "--trace"], ["compare", "--trace"]],
+                         ids=["train-central", "compare"])
+def test_trace_config_errors_draw_no_setup(tmp_path, monkeypatch, argv):
+    def drawn(*args, **kwargs):
+        raise AssertionError("the set-up was drawn before the config error")
+
+    monkeypatch.setattr("fdgnn.cli._setup", drawn)
+    assert main([*argv, "--n", "8", "--n-train", "8", "--n-test", "4", "--batch", "4",
+                 "--out", str(tmp_path / "out")]) == 2

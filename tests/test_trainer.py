@@ -1,9 +1,11 @@
+import argparse
 import dataclasses
 
 import numpy as np
 import pytest
 
 from fdgnn import trainer
+from fdgnn.cli import build_config
 from fdgnn.graphs import generate_ba, load_edge_list, save_edge_list
 from fdgnn.trainer import (
     MetricsLog,
@@ -185,9 +187,16 @@ def _file_config(tmp_path, **overrides):
 
 
 @pytest.mark.parametrize("graph", ["ba", "er", "file"])
-def test_validate_returns_the_run_graph(tmp_path, graph):
+def test_build_config_returns_the_setup_the_run_trains_on(tmp_path, graph):
     cfg = _file_config(tmp_path) if graph == "file" else tiny_config(graph=graph, p=0.6)
-    assert cfg.validate().edges == _setup(cfg)[0].edges
+    built, setup = build_config(argparse.Namespace(config=None, **dataclasses.asdict(cfg)))
+    assert built == cfg
+    fresh = _setup(cfg)
+    assert setup[0].edges == fresh[0].edges
+    assert np.array_equal(setup[7].flatten(), fresh[7].flatten())
+    graphs = []
+    train_distributed(cfg, on_update=lambda t, net: graphs.append(net.graph), setup=setup)
+    assert graphs and all(g is setup[0] for g in graphs)
 
 
 def test_run_reads_its_graph_file_once(tmp_path, monkeypatch):
