@@ -267,6 +267,27 @@ class StackedResult:
     grads: np.ndarray | None  # (n, dim)
 
 
+def _kernel_buffers(work: dict, specs, n: int, B: int):
+    """The kernel's (n, B, width) buffers, kept in `work` for the latest (specs, n, B): the input,
+    then per layer its aggregate, h, and `nxt` (agg @ theta1, the activation, then the layer's q)."""
+    bufs = work.get((specs, n, B))
+    if bufs is None:
+        w = [specs[0].g_in] + [s.g_out for s in specs]
+        work.clear()
+        bufs = work[specs, n, B] = np.empty((n, B, w[0])), [
+            (np.empty((n, B, a)), np.empty((n, B, b)), np.empty((n, B, b))) for a, b in zip(w, w[1:])]
+    return bufs
+
+
+def _aggregate(S, x: np.ndarray, out: np.ndarray) -> None:
+    """out = S @ x over the (n, B*width) views; a CSR product is copied in."""
+    x2, out2 = x.reshape(len(x), -1), out.reshape(len(out), -1)
+    if isinstance(S, np.ndarray):
+        np.matmul(S, x2, out=out2)
+    else:
+        np.copyto(out2, S @ x2)
+
+
 def stacked_gradients(
     specs,
     theta0_stack,
@@ -274,6 +295,7 @@ def stacked_gradients(
     S,
     X: np.ndarray,
     y: np.ndarray | None,
+    work: dict | None = None,
 ) -> StackedResult:
     """Bulk-synchronous execution of every node's local forward/backward steps.
 
@@ -289,6 +311,10 @@ def stacked_gradients(
     a matmul batched over nodes, and the backward neighbour term is S.T @ msg
     on the same view (S.T is a view that BLAS reads transposed; of a CSR S,
     it is the CSC view of the same arrays).
+
+    Intermediates go into buffers kept in `work`, a dict the caller owns and passes on
+    every call, so a run's updates reuse their memory; without it they are fresh. The
+    returned yhat and grads are always fresh arrays.
     """
     specs = tuple(specs)
     S = as_matrix(S)
@@ -297,13 +323,15 @@ def stacked_gradients(
     B = X.shape[0]
     if X.shape != (B, n, specs[0].g_in):
         raise ValueError(f"features must be (B, {n}, {specs[0].g_in}), got {X.shape}")
-    caches = []
-    cur = np.ascontiguousarray(X.transpose(1, 0, 2))
-    for k, spec in enumerate(specs):
-        agg = (S @ cur.reshape(n, -1)).reshape(cur.shape)
-        h = np.matmul(cur, theta0_stack[k]) + np.matmul(agg, theta1_stack[k])
-        caches.append((cur, agg, h))
-        cur = apply_activation(spec, h)
+    cur, layers = _kernel_buffers({} if work is None else work, specs, n, B)
+    np.copyto(cur, X.transpose(1, 0, 2))
+    inputs = []
+    for k, (spec, (agg, h, nxt)) in enumerate(zip(specs, layers)):
+        _aggregate(S, cur, agg)
+        np.matmul(cur, theta0_stack[k], out=h)
+        h += np.matmul(agg, theta1_stack[k], out=nxt)
+        inputs.append(cur)
+        cur = apply_activation(spec, h, out=nxt)
     yhat = cur[..., 0].T.copy()
     if y is None:
         return StackedResult(yhat, None)
@@ -312,18 +340,19 @@ def stacked_gradients(
     if y.shape != (B, n):
         raise ValueError(f"labels must be ({B}, {n}), got {y.shape}")
     slices = param_slices(specs)
-    grads = np.zeros((n, num_params(specs)))
-    z = (2.0 * (yhat - y)).T[..., None]
+    grads = np.empty((n, num_params(specs)))
+    np.copyto(layers[-1][2], (2.0 * (yhat - y)).T[..., None])
     for k in reversed(range(len(specs))):
-        xprev, agg, h = caches[k]
-        q = z * activation_derivative(specs[k], h)
-        for x, sl in zip((xprev, agg), slices[k]):
+        agg, h, q = layers[k]
+        if specs[k].activation != "identity":
+            q *= activation_derivative(specs[k], h, out=h)
+        for x, sl in zip((inputs[k], agg), slices[k]):
             grads[:, sl] = np.matmul(x.transpose(0, 2, 1), q).reshape(n, -1)
         if k > 0:
-            msg = np.matmul(q, theta1_stack[k].transpose(0, 2, 1))
-            z = np.matmul(q, theta0_stack[k].transpose(0, 2, 1)) + (
-                S.T @ msg.reshape(n, -1)
-            ).reshape(msg.shape)
+            z = layers[k - 1][2]  # layer k-1's output buffer, dead now: msg, then its q
+            _aggregate(S.T, np.matmul(q, theta1_stack[k].transpose(0, 2, 1), out=z), agg)
+            np.matmul(q, theta0_stack[k].transpose(0, 2, 1), out=z)
+            z += agg
     return StackedResult(yhat, grads)
 
 

@@ -33,29 +33,31 @@ class LayerSpec:
             raise ValueError(f"layer widths must be >= 1, got {self.g_in}x{self.g_out}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        # Only here is max(h, slope*h) bitwise where(h > 0, h, slope*h); at 0, h = +inf gives NaN.
+        if not 0.0 < self.slope <= 1.0:
+            raise ValueError(f"slope must lie in (0, 1], got {self.slope}")
 
 
-def apply_activation(spec: LayerSpec, h: np.ndarray) -> np.ndarray:
+def apply_activation(spec: LayerSpec, h: np.ndarray, out=None) -> np.ndarray:
     if spec.activation == "identity":
         return h
     if spec.activation == "relu":
-        return np.maximum(h, 0.0)
+        return np.maximum(h, 0.0, out=out)
     if spec.activation == "leaky-relu":
-        return np.where(h > 0.0, h, spec.slope * h)
-    return np.tanh(h)
+        return np.maximum(h, np.multiply(h, spec.slope, out=out), out=out)
+    return np.tanh(h, out=out)
 
 
-def activation_derivative(spec: LayerSpec, h: np.ndarray) -> np.ndarray:
-    # At the kink the derivative follows the negative branch, so distributed
-    # and dense passes agree bitwise.
+def activation_derivative(spec: LayerSpec, h: np.ndarray, out=None) -> np.ndarray:
+    # At the kink (and at NaN) the derivative follows the negative branch, so
+    # distributed and dense passes agree bitwise. `out` may be h itself.
     if spec.activation == "identity":
         return np.ones_like(h)
-    if spec.activation == "relu":
-        return np.where(h > 0.0, 1.0, 0.0)
-    if spec.activation == "leaky-relu":
-        return np.where(h > 0.0, 1.0, spec.slope)
-    t = np.tanh(h)
-    return 1.0 - t * t
+    if spec.activation == "tanh":
+        t = np.tanh(h, out=out)
+        return np.subtract(1.0, np.square(t, out=t), out=t)
+    d = (h > 0.0).astype(np.float64) if out is None else np.greater(h, 0.0, out=out)
+    return d if spec.activation == "relu" else np.maximum(d, spec.slope, out=d)  # 1.0 or the slope
 
 
 def validate_specs(specs: tuple[LayerSpec, ...]) -> None:

@@ -336,6 +336,7 @@ class Network:
         self._agents: list[AgentState] | None = None
         self._slots = None  # _consensus_slots(self._agents)
         self._plans: dict[tuple[str, int], PlanCost] = {}
+        self._work: dict = {}  # the stacked kernel's buffers, reused by every update
 
     @property
     def n(self) -> int:
@@ -380,8 +381,8 @@ class Network:
         return ParamSet.from_flat(self.specs, self.theta.mean(axis=0))
 
     def consensus_gap(self) -> float:
-        diff = self.theta - self.theta.mean(axis=0)
-        return float(np.max(np.linalg.norm(diff, axis=1)))
+        diff = self.theta - self.theta.mean(axis=0)  # the only (n, dim) temporary, squared in place
+        return float(np.max(np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))))
 
 
 def _consensus_slots(agents):
@@ -542,7 +543,7 @@ def _execute_stacked(net, plan, X, Y, psi):
     """Vectorized execution: the agents' arithmetic without message objects."""
     th0, th1 = stack_flat_params(net.specs, psi)
     trains = bool(STRATEGY[plan.strategy].kinds)
-    res = stacked_gradients(net.specs, th0, th1, net.shift, X, Y if trains else None)
+    res = stacked_gradients(net.specs, th0, th1, net.shift, X, Y if trains else None, net._work)
     grads = res.grads if trains else np.zeros((net.n, net.dim))
     return grads, res.yhat, None
 

@@ -90,19 +90,29 @@ def run_consensus(values: np.ndarray, W, rounds: int) -> np.ndarray:
     return out
 
 
-def _adam_step(moments: MomentState, grads, cfg, alpha) -> np.ndarray:
-    """Advance the moments by one step and return the bias-corrected Adam step."""
+def _moment_update(base, moments: MomentState, grads, cfg, alpha, max_normalized=False) -> np.ndarray:
+    """Advance the moments in place and return base - alpha m_hat / (sqrt(v_hat) + epsilon): Adam's
+    bias-corrected moments, or, max-normalized, m and vhat, the running maximum of v."""
     moments.t += 1
-    moments.m = cfg.beta1 * moments.m + (1.0 - cfg.beta1) * grads
-    moments.v = cfg.beta2 * moments.v + (1.0 - cfg.beta2) * grads**2
-    m_hat = moments.m / (1.0 - cfg.beta1**moments.t)
-    v_hat = moments.v / (1.0 - cfg.beta2**moments.t)
-    return alpha * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    m, v = moments.m, moments.v
+    scratch = (1.0 - cfg.beta1) * grads
+    np.add(np.multiply(m, cfg.beta1, out=m), scratch, out=m)
+    np.multiply(np.square(grads, out=scratch), 1.0 - cfg.beta2, out=scratch)
+    np.add(np.multiply(v, cfg.beta2, out=v), scratch, out=v)
+    if max_normalized:
+        step, v_hat = alpha * m, np.maximum(moments.vhat, v, out=moments.vhat)
+    else:
+        step = np.divide(m, 1.0 - cfg.beta1**moments.t)
+        step *= alpha
+        v_hat = np.divide(v, 1.0 - cfg.beta2**moments.t, out=scratch)
+    step /= np.add(np.sqrt(v_hat, out=scratch), cfg.epsilon, out=scratch)
+    return np.subtract(base, step, out=step)
 
 
 def dsgd_update(psi, alpha_t, batch_grads):
     """Subtract the per-node summed batch gradient from the mixed rows psi."""
-    return psi - alpha_t * batch_grads
+    step = alpha_t * batch_grads
+    return np.subtract(psi, step, out=step)
 
 
 def dadam_update(psi, moments: MomentState, alpha_t, batch_grads, cfg):
@@ -111,7 +121,7 @@ def dadam_update(psi, moments: MomentState, alpha_t, batch_grads, cfg):
     Moments stay strictly local, so they can drift apart across nodes when
     local gradients differ.
     """
-    return psi - _adam_step(moments, batch_grads, cfg, alpha_t)
+    return _moment_update(psi, moments, batch_grads, cfg, alpha_t)
 
 
 def damsgrad_update(psi, moments: MomentState, W, alpha_t, batch_grads, cfg):
@@ -122,13 +132,9 @@ def damsgrad_update(psi, moments: MomentState, W, alpha_t, batch_grads, cfg):
     """
     if moments.vhat is None:
         raise ValueError("moments must carry a vhat buffer")
-    moments.t += 1
-    m_mixed = consensus_round(moments.m, W)
-    v_prev = consensus_round(moments.v, W) if cfg.consensus_on_v else moments.v
-    moments.m = cfg.beta1 * m_mixed + (1.0 - cfg.beta1) * batch_grads
-    moments.v = cfg.beta2 * v_prev + (1.0 - cfg.beta2) * batch_grads**2
-    moments.vhat = np.maximum(moments.vhat, moments.v)
-    return psi - alpha_t * moments.m / (np.sqrt(moments.vhat) + cfg.epsilon)
+    moments.m = consensus_round(moments.m, W)
+    moments.v = consensus_round(moments.v, W) if cfg.consensus_on_v else moments.v
+    return _moment_update(psi, moments, batch_grads, cfg, alpha_t, max_normalized=True)
 
 
 def dnaive_update(thetas, W, K, alpha_t, grads):
@@ -154,7 +160,7 @@ def central_update(theta, grad, cfg: OptimizerConfig, moments: MomentState | Non
         raise ValueError(f"{cfg.kind!r} is not a centralized kind")
     if moments is None:
         raise ValueError("adam needs a MomentState")
-    return theta - _adam_step(moments, grad, cfg, alpha)
+    return _moment_update(theta, moments, grad, cfg, alpha)
 
 
 class CentralOptimizer:

@@ -304,6 +304,7 @@ def train_centralized(config: RunConfig, on_update=None, setup=None) -> TrainRes
     graph, shift, _, _, _, _, specs, params0, _ = setup
     opt = CentralOptimizer(config.optimizer_config(), params0.dim)
     theta = params0.flatten()
+    work: dict = {}  # the stacked kernel's buffers, reused by every update
 
     def step(batch, topology, alpha_t):
         nonlocal theta, shift
@@ -311,7 +312,7 @@ def train_centralized(config: RunConfig, on_update=None, setup=None) -> TrainRes
             shift = topology[1]
         X, Y = stack_samples(batch)
         th0, th1 = stack_flat_params(specs, np.broadcast_to(theta, (graph.n, theta.size)))
-        res = stacked_gradients(specs, th0, th1, shift, X, Y)
+        res = stacked_gradients(specs, th0, th1, shift, X, Y, work)
         theta = opt.step(theta, res.grads.sum(axis=0) / graph.n, alpha_t)
         return float(np.mean((res.yhat - Y) ** 2)), theta
 

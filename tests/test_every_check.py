@@ -118,6 +118,7 @@ CASES = {
         ValueError, "adam needs a MomentState"),
     # gcnn
     "gcnn-no-layers": (lambda tmp: ParamSet((), [], []), ValueError, "need at least one layer"),
+    "gcnn-slope": (lambda tmp: LayerSpec(1, 1, "leaky-relu", slope=1.5), ValueError, r"slope must lie in \(0, 1\], got 1.5"),
     "gcnn-weight-pairs": (
         lambda tmp: ParamSet(SPECS, PARAMS.theta0, PARAMS.theta1[:1]), ValueError, "one weight pair required per layer"),
     "gcnn-weight-shape": (
