@@ -59,7 +59,7 @@ from .netsim import (
     ledger_report,
     run_minibatch,
 )
-from .datagen import DatasetSpec, Sample, make_dataset, train_test_split
+from .datagen import Dataset, DatasetSpec, Sample, make_dataset, train_test_split
 from .trainer import (
     MetricsLog,
     RunConfig,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gcnn import LayerSpec, forward, init_params
+from .gcnn import LayerSpec, init_params, predict
 from .graphs import ShiftOperator, as_matrix
 
 FEATURE_KINDS = ("uniform", "normal", "binary", "one-hot")
@@ -64,11 +64,30 @@ class Sample:
     y: np.ndarray  # (n,)
 
 
+@dataclass(frozen=True)
+class Dataset:
+    """N samples as two read-only arrays, X (N, n, g0) and y (N, n), so that runs can
+    share them. An int index gives a `Sample` of views, a slice a `Dataset` of views."""
+
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        self.X.flags.writeable = self.y.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.X)
+
+    def __getitem__(self, i):
+        return (Dataset if isinstance(i, slice) else Sample)(self.X[i], self.y[i])
+
+
 def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, n, g0) features and (B, n) labels of B samples, as float64."""
-    X = np.stack([s.X for s in samples]).astype(np.float64, copy=False)
-    Y = np.stack([s.y for s in samples]).astype(np.float64, copy=False)
-    return X, Y
+    """The (B, n, g0) features and (B, n) labels of B samples, as float64:
+    a `Dataset`'s own arrays, not copied, or a sequence of `Sample`s stacked."""
+    if not isinstance(samples, Dataset):
+        samples = Dataset(np.stack([s.X for s in samples]), np.stack([s.y for s in samples]))
+    return samples.X.astype(np.float64, copy=False), samples.y.astype(np.float64, copy=False)
 
 
 def draw_features(plan, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -87,17 +106,18 @@ def draw_features(plan, n: int, rng: np.random.Generator) -> np.ndarray:
     return np.concatenate(cols, axis=1)
 
 
-def draw_samples(teacher, shift, spec: DatasetSpec, count: int, rng: np.random.Generator) -> list[Sample]:
-    """Draw `count` samples of (features, teacher output + noise) on one topology."""
+def draw_samples(teacher, shift, spec: DatasetSpec, count: int, rng: np.random.Generator) -> Dataset:
+    """Draw `count` samples of (features, teacher output + noise) on one topology:
+    each sample's features, then its noise, and one chunked teacher pass after."""
     n = as_matrix(shift).shape[0]
     sigma = np.sqrt(spec.noise_var)
-    samples = []
-    for _ in range(count):
-        X = draw_features(spec.feature_plan, n, rng)
-        clean, _ = forward(teacher, shift, X)
-        y = clean + rng.normal(0.0, sigma, n) if sigma > 0 else clean
-        samples.append(Sample(X=X, y=y))
-    return samples
+    X, noise = np.empty((count, n, spec.g0)), np.empty((count, n))
+    for k in range(count):
+        X[k] = draw_features(spec.feature_plan, n, rng)
+        if sigma > 0:
+            noise[k] = rng.normal(0.0, sigma, n)
+    clean = predict(teacher, shift, X)
+    return Dataset(X, clean + noise if sigma > 0 else clean)
 
 
 def make_dataset(shift: ShiftOperator, spec: DatasetSpec):
@@ -124,14 +144,9 @@ def save_dataset(samples, spec: DatasetSpec, n_nodes: int, out_dir: str | Path) 
     """CSV bundle: features.csv (sample-major node rows), labels.csv, spec.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    feat_lines = []
-    label_lines = []
-    for s in samples:
-        for row in s.X:
-            feat_lines.append(",".join(repr(float(v)) for v in row))
-        label_lines.append(",".join(repr(float(v)) for v in s.y))
-    (out / "features.csv").write_text("\n".join(feat_lines) + "\n")
-    (out / "labels.csv").write_text("\n".join(label_lines) + "\n")
+    X, Y = stack_samples(samples)
+    for name, rows in (("features.csv", X.reshape(-1, X.shape[-1])), ("labels.csv", Y)):
+        (out / name).write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
     meta = {
         "n_samples": len(samples),
         "n_nodes": n_nodes,
@@ -146,7 +161,7 @@ def save_dataset(samples, spec: DatasetSpec, n_nodes: int, out_dir: str | Path) 
 
 
 def load_dataset(in_dir: str | Path):
-    """Inverse of save_dataset; returns (samples, metadata dict). A bundle
+    """Inverse of save_dataset; returns (`Dataset`, metadata dict). A bundle
     whose arrays do not match its spec, or hold a non-finite value, is a
     ValueError."""
     src = Path(in_dir)
@@ -160,7 +175,4 @@ def load_dataset(in_dir: str | Path):
         raise ValueError(f"labels shape {labels.shape} does not match spec")
     if not (np.isfinite(feats).all() and np.isfinite(labels).all()):
         raise ValueError("dataset holds a non-finite feature or label")
-    samples = [
-        Sample(X=feats[k * n : (k + 1) * n], y=labels[k]) for k in range(meta["n_samples"])
-    ]
-    return samples, meta
+    return Dataset(feats.reshape(-1, n, g0), labels), meta

@@ -204,6 +204,13 @@ def forward(params: ParamSet, shift, X: np.ndarray):
     return cur[..., 0].copy(), acts
 
 
+def predict(params: ParamSet, shift, X: np.ndarray) -> np.ndarray:
+    """forward's (B, n) prediction for a (B, n, g0) batch, in chunks of at most 1,024 node rows
+    (or one sample) that keep the activations small; each row is bitwise that sample's own pass."""
+    step = max(1, 1024 // as_matrix(shift).shape[0])
+    return np.concatenate([forward(params, shift, X[i : i + step])[0] for i in range(0, len(X), step)])
+
+
 def node_losses(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
     """Per-node squared errors."""
     y = np.asarray(y, dtype=np.float64)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .agents import stack_flat_params, stacked_gradients
 from .datagen import DatasetSpec, default_teacher_specs, draw_samples, make_dataset, stack_samples
-from .gcnn import LayerSpec, ParamSet, forward, init_params, mse_loss, validate_specs
+from .gcnn import LayerSpec, ParamSet, init_params, mse_loss, predict, validate_specs
 from .graphs import (
     SHIFT_VARIANTS,
     Graph,
@@ -187,9 +187,9 @@ def _build_graph(config: RunConfig, seed: int) -> Graph:
 
 def evaluate_mse(params: ParamSet, shift, samples) -> float:
     """Mean over samples of the node-mean squared error under `params`,
-    from one batched forward pass over every sample."""
-    yhat, _ = forward(params, shift, np.stack([s.X for s in samples]))
-    return sum(mse_loss(s.y, row) for s, row in zip(samples, yhat)) / len(samples)
+    from chunked batched forward passes over the stacked samples."""
+    X, Y = stack_samples(samples)
+    return sum(mse_loss(y, row) for y, row in zip(Y, predict(params, shift, X))) / len(samples)
 
 
 def _setup(config: RunConfig):
