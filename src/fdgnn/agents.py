@@ -142,9 +142,15 @@ def _gather(state, inbox, payload_type, tag_layer, width):
                 f"payload width {payload.values.shape} != ({width},)"
             )
         got[msg.sender] = payload.values
+    if len(got) < len(inbox):  # a sender repeated
+        senders = [msg.sender for msg in inbox]
+        raise ProtocolError(f"node {state.node_id} got two messages from {max(senders, key=senders.count)}")
     missing = [j for j in state.neighbor_ids if j not in got]
     if missing:
         raise ProtocolError(f"node {state.node_id} missing messages from {missing}")
+    if len(got) > state.degree:  # every neighbour sent, and someone else too
+        stranger = min(got.keys() - state.neighbor_ids)
+        raise ProtocolError(f"node {state.node_id} got a message from non-neighbour {stranger}")
     return got
 
 

@@ -62,8 +62,6 @@ class Graph:
         return 0 <= i < self.n and j in self._adj[i]
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
         seen = {0}
         stack = [0]
         while stack:
@@ -186,9 +184,7 @@ def build_shift(g: Graph, variant: str = "normalized-adjacency") -> ShiftOperato
     i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     d = g.degrees.astype(np.float64)
     if variant.startswith("normalized"):
-        with np.errstate(divide="ignore"):
-            dinv = np.where(d > 0, d, 1.0) ** -0.5
-        dinv = np.where(d > 0, dinv, 0.0)
+        dinv = np.where(d > 0, d, 1.0) ** -0.5  # an isolated node's entry is never read
         w = dinv[i] * dinv[j]
     else:
         w = 1.0
@@ -212,10 +208,7 @@ def metropolis_weights(g: Graph) -> ConsensusWeights:
 
 def metropolis_row(degree: int, neighbor_degrees: dict[int, int]) -> dict[int, float]:
     """One node's averaging weights, computable from its own and neighbor degrees."""
-    row = {
-        j: 1.0 / (1.0 + max(degree, dj)) for j, dj in neighbor_degrees.items()
-    }
-    return row
+    return {j: 1.0 / (1.0 + max(degree, dj)) for j, dj in neighbor_degrees.items()}
 
 
 def save_edge_list(g: Graph, path: str | Path) -> None:

@@ -5,11 +5,11 @@ rounds. `STRATEGY` holds the traits of the five scheduling strategies, their
 closed-form round counts included; the plan builder, `delivery` and
 `run_minibatch` read them. `delivery` is the one table of what each payload
 means: the key it delivers and the keys it needs delivered first.
-`audit_causality` checks plans against it, and the message-level engine
-keeps its in-flight values under its keys. Strategies only change scheduling
-and accounting: both engines hand the optimizer the (n, dim) batch-summed
-gradients, so the applied update for a given optimizer is bitwise identical
-across them.
+`audit_causality` checks each plan against it once and returns the routes
+it resolved, which the message-level engine runs. Strategies only change
+scheduling and accounting: both engines hand the optimizer the (n, dim)
+batch-summed gradients, so the applied update for a given optimizer is
+bitwise identical across them.
 """
 from __future__ import annotations
 
@@ -218,15 +218,18 @@ def delivery(p: Payload, plan: RoundPlan) -> tuple[tuple, tuple | None, tuple]:
     return key, source, ((source,) if source else ()) + after
 
 
-def audit_causality(plan: RoundPlan) -> None:
+def audit_causality(plan: RoundPlan) -> tuple:
     """Check a plan against `delivery`: every key is delivered once, after
     everything it needs, and is needed by a later round or by the update.
+    Returns each round's routes, (payload, key, source, needs), the UPDATE
+    pseudo-round last.
     """
     delivered: dict[tuple, int] = {}
     consumed: set[tuple] = set()
+    routes = []
     for r, items in enumerate(plan.schedule + ((UPDATE,),), 1):
-        for p in items:
-            key, _, needs = delivery(p, plan)
+        routes.append(tuple((p, *delivery(p, plan)) for p in items))
+        for _, key, _, needs in routes[-1]:
             if key in delivered:
                 raise CausalityError(f"round {r}: duplicate {key}")
             for need in needs:
@@ -237,6 +240,7 @@ def audit_causality(plan: RoundPlan) -> None:
     unused = [key for key in delivered if key not in consumed and key != ("update", None)]
     if unused:
         raise CausalityError(f"{unused[0]} is delivered but never consumed")
+    return tuple(routes)
 
 
 @dataclass(frozen=True)
@@ -282,11 +286,11 @@ class CommLedger:
         return (self.rounds, self.broadcasts, self.scalars)
 
 
-def _payload_scalars(p: Payload, widths, dim, chunks) -> int:
+def _payload_scalars(p: Payload, widths, dim, offsets) -> int:
     if p.kind in ("fwd", "adjoint"):
         return widths[p.layer - 1]
     if p.kind == "chunk":
-        return chunks[p.chunk]
+        return offsets[p.chunk + 1] - offsets[p.chunk]
     if p.kind == "degree":
         return 1
     return dim  # grad-consensus
@@ -294,21 +298,24 @@ def _payload_scalars(p: Payload, widths, dim, chunks) -> int:
 
 @dataclass(frozen=True)
 class PlanCost:
-    """An audited plan's bill: each round's (payload kinds, per-node scalars)."""
+    """An audited plan's bill, each round's (payload kinds, per-node scalars), and what
+    the agents engine runs: the audit's routes and a chunked plan's chunk bounds."""
 
     plan: RoundPlan | None  # None for a round billed by `CommLedger.add_round`
     rows: tuple[tuple[tuple[str, ...], int], ...]
     scalars: int  # per node, over every round
+    routes: tuple = ()
+    offsets: tuple[int, ...] = ()  # chunk c is theta[offsets[c]:offsets[c + 1]]
 
     @classmethod
     def of(cls, plan: RoundPlan, widths, dim: int) -> PlanCost:
-        audit_causality(plan)
-        chunks = chunk_sizes(dim, plan.L * plan.B) if STRATEGY[plan.strategy].chunked else None
+        routes, chunked = audit_causality(plan), STRATEGY[plan.strategy].chunked
+        offsets = tuple(accumulate(chunk_sizes(dim, plan.L * plan.B), initial=0)) if chunked else ()
         rows = tuple(
-            (tuple(p.kind for p in items), sum(_payload_scalars(p, widths, dim, chunks) for p in items))
+            (tuple(p.kind for p in items), sum(_payload_scalars(p, widths, dim, offsets) for p in items))
             for items in plan.schedule
         )
-        return cls(plan, rows, sum(size for _, size in rows))
+        return cls(plan, rows, sum(size for _, size in rows), routes, offsets)
 
 
 class Network:
@@ -452,7 +459,7 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
     psi = net.optimizer.mix(net.theta, net.weights) if st.kinds else net.theta
 
     execute = _execute_agents if engine == "agents" else _execute_stacked
-    grads, yhat, proto = execute(net, cost.plan, X, Y, psi)
+    grads, yhat, proto = execute(net, cost, X, Y, psi)
 
     if st.kinds:
         net.theta = net.optimizer.apply(psi, net.weights, grads, alpha_t)
@@ -464,41 +471,36 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
     return MinibatchResult(train_mse, grads, yhat, delta, proto)
 
 
-def _execute_agents(net, plan, X, Y, psi):
-    """Drive the agents through the plan round by round with real messages.
+def _execute_agents(net, cost, X, Y, psi):
+    """Drive the agents through the plan's routes round by round with real messages.
 
-    `inflight` holds what a delivery produced for a later round to relay,
-    under the delivered key that `delivery` names as that round's source.
+    `inflight` holds what a delivery produced, under its key, until the round
+    that needs it pops it: under per-sample consensus, a finished sample's
+    stacked gradients wait there for its first consensus round.
     """
-    agents, specs, st = net.agents, net.specs, STRATEGY[plan.strategy]
-    n, L, dim = net.n, plan.L, net.dim
+    agents, specs, plan = net.agents, net.specs, cost.plan
+    st, n, L = STRATEGY[plan.strategy], net.n, plan.L
     for agent, row in zip(agents, psi):
         agent.params = ParamSet.from_flat(specs, row)
         agent.reset_accumulator()
-    if st.chunked:
-        offsets = list(accumulate(chunk_sizes(dim, L * plan.B), initial=0))
     yhat = np.zeros((plan.B, n))
-    # Each sample's gradients, kept when its backward pass ends: an audited plan
-    # may run sample b's consensus after sample b+1's backward pass has begun.
-    per_sample = np.zeros((plan.B, n, dim)) if st.consensus == "per-sample" else None
     inflight: dict[tuple, object] = {}
 
-    for r, items in enumerate(plan.schedule, 1):
+    for r, items in enumerate(cost.routes[:-1], 1):
         outgoing = []
-        for p in items:
-            key, source, _ = delivery(p, plan)
+        for p, key, source, needs in items:
             held = inflight.pop(source) if source else None
             if p.kind == "fwd" and held is None:
                 for i, agent in enumerate(agents):
                     agent.begin_sample(p.sample, X[p.sample - 1][i])
                 held = [FwdFeature(0, x.copy()) for x in X[p.sample - 1]]
             elif p.kind == "chunk":
-                lo, hi = offsets[p.chunk], offsets[p.chunk + 1]
+                lo, hi = cost.offsets[p.chunk], cost.offsets[p.chunk + 1]
                 held = [ConsensusChunk(lo, row[lo:hi].copy()) for row in psi]
             elif p.kind == "degree":
                 held = [Degree(a.degree) for a in agents]
             elif p.kind == "grad-consensus" and held is None:
-                held = per_sample[p.sample - 1] if p.sample else np.stack([a.grad_accum for a in agents])
+                held = inflight.pop(needs[0]) if p.sample else np.stack([a.grad_accum for a in agents])
             outgoing.append((p, key, held))
 
         # Delivery barrier: everything broadcast this round is now visible to
@@ -530,19 +532,16 @@ def _execute_agents(net, plan, X, Y, psi):
                 results = [local_backward_layer(a, L, []) for a in agents]
             if results[0] is not None:
                 inflight[key] = results
-            elif per_sample is not None:  # sample b's backward pass is finished
-                per_sample[b - 1] = [local_gradient(a) for a in agents]
-    proto = None
-    if st.consensus:
-        proto = sum(inflight[k] for k in delivery(UPDATE, plan)[2])
-    grads = np.stack([a.grad_accum.copy() for a in agents])
-    return grads, yhat, proto
+            elif st.consensus == "per-sample":  # sample b's backward pass is finished
+                inflight[key] = np.stack([local_gradient(a) for a in agents])
+    proto = sum(inflight[k] for k in cost.routes[-1][0][3]) if st.consensus else None
+    return np.stack([a.grad_accum for a in agents]), yhat, proto
 
 
-def _execute_stacked(net, plan, X, Y, psi):
+def _execute_stacked(net, cost, X, Y, psi):
     """Vectorized execution: the agents' arithmetic without message objects."""
     th0, th1 = stack_flat_params(net.specs, psi)
-    trains = bool(STRATEGY[plan.strategy].kinds)
+    trains = bool(STRATEGY[cost.plan.strategy].kinds)
     res = stacked_gradients(net.specs, th0, th1, net.shift, X, Y if trains else None, net._work)
     grads = res.grads if trains else np.zeros((net.n, net.dim))
     return grads, res.yhat, None

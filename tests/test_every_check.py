@@ -47,6 +47,13 @@ def _started():
     return agent
 
 
+def _paired():
+    """Node 0 with the one neighbour 1, its sample begun."""
+    agent = AgentState(0, PARAMS, {0: 0.5, 1: 0.5}, {1: 1})
+    agent.begin_sample(0, np.ones(2))
+    return agent
+
+
 def _backward_ready():
     agent = _started()
     local_forward_layer(agent, 1, [])
@@ -78,6 +85,13 @@ CASES = {
     "agents-payload-layer": (
         lambda tmp: local_forward_layer(_started(), 1, [Message(1, 1, FwdFeature(1, np.ones(2)))]),
         ProtocolError, "payload for layer 1, expected 0"),
+    "agents-repeated-sender": (
+        lambda tmp: local_forward_layer(_paired(), 1, [Message(1, 1, FwdFeature(0, np.ones(2)))] * 2),
+        ProtocolError, "node 0 got two messages from 1"),
+    "agents-non-neighbour-sender": (
+        lambda tmp: local_forward_layer(
+            _paired(), 1, [Message(1, 1, FwdFeature(0, np.ones(2))), Message(7, 1, FwdFeature(0, np.full(2, 1e9)))]),
+        ProtocolError, "node 0 got a message from non-neighbour 7"),
     "agents-layer-range": (lambda tmp: local_forward_layer(_started(), 3, []), ValueError, r"layer 3 out of range 1\.\.2"),
     "agents-forward-before-begin": (
         lambda tmp: local_forward_layer(_agent(), 1, []), ProtocolError, "begin_sample must run before"),
