@@ -329,6 +329,8 @@ def stacked_gradients(
     B = X.shape[0]
     if X.shape != (B, n, specs[0].g_in):
         raise ValueError(f"features must be (B, {n}, {specs[0].g_in}), got {X.shape}")
+    if specs[-1].g_out != 1:
+        raise ValueError("prediction network must end in a width-1 layer")
     cur, layers = _kernel_buffers({} if work is None else work, specs, n, B)
     np.copyto(cur, X.transpose(1, 0, 2))
     inputs = []

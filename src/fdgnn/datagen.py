@@ -66,14 +66,17 @@ class Sample:
 
 @dataclass(frozen=True)
 class Dataset:
-    """N samples as two read-only arrays, X (N, n, g0) and y (N, n), so that runs can
-    share them. An int index gives a `Sample` of views, a slice a `Dataset` of views."""
+    """N samples as read-only views of two arrays, X (N, n, g0) and y (N, n), so that runs
+    can share them. An int index gives a `Sample` of views, a slice a `Dataset` of views."""
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        self.X.flags.writeable = self.y.flags.writeable = False
+        for name in ("X", "y"):  # the caller's own arrays stay writable
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
         return len(self.X)

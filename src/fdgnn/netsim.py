@@ -334,6 +334,8 @@ class Network:
         self.shift: ShiftOperator = shift
         self.weights: ConsensusWeights = metropolis_weights(graph)
         self.specs = params0.specs
+        if self.specs[-1].g_out != 1:
+            raise ValueError("prediction network must end in a width-1 layer")
         self.dim = params0.dim
         self.widths = [self.specs[0].g_in] + [s.g_out for s in self.specs]
         self.theta = np.tile(params0.flatten(), (graph.n, 1))
@@ -480,10 +482,12 @@ def _execute_agents(net, cost, X, Y, psi):
     """
     agents, specs, plan = net.agents, net.specs, cost.plan
     st, n, L = STRATEGY[plan.strategy], net.n, plan.L
-    for agent, row in zip(agents, psi):
+    grads, yhat = np.zeros((n, net.dim)), np.zeros((plan.B, n))
+    proto = np.zeros((n, net.dim)) if st.consensus else None
+    for agent, row, acc in zip(agents, psi, grads):
         agent.params = ParamSet.from_flat(specs, row)
+        agent.grad_accum = acc  # agent i accumulates into row i of the returned gradients
         agent.reset_accumulator()
-    yhat = np.zeros((plan.B, n))
     inflight: dict[tuple, object] = {}
 
     for r, items in enumerate(cost.routes[:-1], 1):
@@ -500,7 +504,7 @@ def _execute_agents(net, cost, X, Y, psi):
             elif p.kind == "degree":
                 held = [Degree(a.degree) for a in agents]
             elif p.kind == "grad-consensus" and held is None:
-                held = inflight.pop(needs[0]) if p.sample else np.stack([a.grad_accum for a in agents])
+                held = inflight.pop(needs[0]) if p.sample else grads
             outgoing.append((p, key, held))
 
         # Delivery barrier: everything broadcast this round is now visible to
@@ -511,7 +515,10 @@ def _execute_agents(net, cost, X, Y, psi):
                 nxt = w_self[:, None] * values
                 for rows, cols, w in slots:
                     nxt[rows] += w * values[cols]
-                inflight[key] = nxt
+                if p.k < plan.K:
+                    inflight[key] = nxt
+                else:  # the K-th iterate joins the running sum in the round that delivers it
+                    proto += nxt
             if p.kind not in ("fwd", "adjoint"):
                 continue  # chunks and degrees are billed and audited; the mix reads psi
             b = p.sample
@@ -534,8 +541,7 @@ def _execute_agents(net, cost, X, Y, psi):
                 inflight[key] = results
             elif st.consensus == "per-sample":  # sample b's backward pass is finished
                 inflight[key] = np.stack([local_gradient(a) for a in agents])
-    proto = sum(inflight[k] for k in cost.routes[-1][0][3]) if st.consensus else None
-    return np.stack([a.grad_accum for a in agents]), yhat, proto
+    return grads, yhat, proto
 
 
 def _execute_stacked(net, cost, X, Y, psi):

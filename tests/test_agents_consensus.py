@@ -2,11 +2,13 @@
 
 Each node averages with its own weights, adding its neighbours' terms in its
 own sorted order, so the per-node loop below is the exact reference. And the
-per-topology state the engine keeps must follow `set_topology`.
+per-topology state the engine keeps must follow `set_topology`, and no later
+mini-batch may write into a result the engine returned.
 """
 import numpy as np
 import pytest
 
+from fdgnn import netsim
 from fdgnn.datagen import Sample
 from fdgnn.gcnn import LayerSpec, init_params
 from fdgnn.graphs import build_shift, generate_ba, generate_er
@@ -54,6 +56,40 @@ def test_protocol_consensus_is_the_per_node_loop_bitwise(name, K):
     for t in range(2):
         res = run_minibatch(net, _samples(graph.n, 3, t), "per-batch-consensus", engine="agents")
         assert np.array_equal(res.protocol_consensus, _per_node_consensus(net.agents, res.grads, K))
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_per_sample_consensus_sums_each_samples_iterate_bitwise(monkeypatch, name, K):
+    graph = GRAPHS[name]()
+    gradients = []  # each node's per-sample gradient, in the order the engine reads them
+
+    def spy(agent, _real=netsim.local_gradient):
+        gradients.append(_real(agent))
+        return gradients[-1]
+
+    monkeypatch.setattr(netsim, "local_gradient", spy)
+    net = _network(graph, K)
+    for t in range(2):
+        gradients.clear()
+        res = run_minibatch(net, _samples(graph.n, 3, t), "naive-per-sample", engine="agents")
+        ref = np.zeros_like(res.grads)
+        for b in range(3):
+            ref = ref + _per_node_consensus(net.agents, np.stack(gradients[b * graph.n : (b + 1) * graph.n]), K)
+        assert res.protocol_consensus.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("strategy", ["naive-per-sample", "per-batch-consensus", "piggyback-consensus"])
+def test_later_minibatches_leave_a_result_unchanged(strategy):
+    a, b = generate_ba(16, 2, 0), generate_ba(16, 1, 7)
+    net = _network(a, K=2)
+    res = run_minibatch(net, _samples(16, 2, 0), strategy, engine="agents")
+    kept = (res.grads.tobytes(), res.protocol_consensus.tobytes())
+    run_minibatch(net, _samples(16, 2, 1), strategy, engine="agents")
+    assert (res.grads.tobytes(), res.protocol_consensus.tobytes()) == kept
+    net.set_topology(b, build_shift(b))
+    run_minibatch(net, _samples(16, 2, 2), strategy, engine="agents")
+    assert (res.grads.tobytes(), res.protocol_consensus.tobytes()) == kept
 
 
 @pytest.mark.parametrize("strategy", ["naive-per-sample", "piggyback-consensus"])

@@ -85,6 +85,16 @@ def test_a_setup_is_read_only(field):
             getattr(data, field)[0] = 1.0
 
 
+def test_a_record_leaves_its_callers_arrays_writable():
+    X, y = np.zeros((2, 3, 1)), np.zeros((2, 3))
+    data = Dataset(X, y)
+    X[1], y[1] = 1.0, 2.0
+    assert data.X[1].tolist() == [[1.0]] * 3 and data.y[1].tolist() == [2.0] * 3
+    for held in (data.X, data.y):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 3.0
+
+
 @pytest.mark.parametrize("optimizer", ["d-amsgrad", "central-adam"])
 def test_the_kernel_reads_views_of_the_setup(monkeypatch, optimizer):
     cfg = RunConfig(optimizer=optimizer, n_train=12, n_test=3, batch=4, epochs=2)

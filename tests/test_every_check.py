@@ -34,6 +34,7 @@ PARAMS = init_params(SPECS, "glorot", 0)
 GRAPH = generate_ba(6, 2, 0)
 SHIFT = build_shift(GRAPH)
 STACKS = stack_flat_params(SPECS, np.tile(PARAMS.flat, (GRAPH.n, 1)))
+WIDE = init_params((LayerSpec(2, 3, "leaky-relu"), LayerSpec(3, 2)), "glorot", 0)  # two outputs per node
 
 
 def _agent():
@@ -108,11 +109,17 @@ CASES = {
     "agents-stacked-labels": (
         lambda tmp: stacked_gradients(SPECS, *STACKS, SHIFT, np.ones((1, 6, 2)), np.ones((1, 5))),
         ValueError, r"labels must be \(1, 6\)"),
+    "agents-stacked-output-width": (
+        lambda tmp: stacked_gradients(
+            WIDE.specs, *stack_flat_params(WIDE.specs, np.tile(WIDE.flat, (6, 1))), SHIFT, np.ones((1, 6, 2)), np.ones((1, 6))),
+        ValueError, "must end in a width-1 layer"),
     # netsim
     "netsim-plan-sizes": (lambda tmp: build_round_plan(0, 1, 1, "fwd-only"), ValueError, "need L >= 1 and B >= 1"),
     "netsim-redraw-node-set": (
         lambda tmp: _net().set_topology(generate_ba(7, 2, 0), SHIFT),
         ValueError, "must keep the node set"),
+    "netsim-output-width": (
+        lambda tmp: Network(GRAPH, SHIFT, WIDE, OptimizerConfig("d-sgd")), ValueError, "must end in a width-1 layer"),
     "netsim-engine": (
         lambda tmp: run_minibatch(_net(), [Sample(np.ones((6, 2)), np.ones(6))], "piggyback-do", engine="gpu"),
         ValueError, "unknown engine 'gpu'"),
