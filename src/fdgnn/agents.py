@@ -256,12 +256,14 @@ def make_agents(graph: Graph, shift: ShiftOperator, params: ParamSet) -> list[Ag
     copy: weight views of its row of one (n, dim) array."""
     S = as_matrix(shift)
     flat = np.tile(params.flat, (graph.n, 1))
+    ptr, nbrs, deg = graph.indptr.tolist(), graph.indices.tolist(), graph.degrees.tolist()
+    closed = [sorted((i, *nbrs[ptr[i] : ptr[i + 1]])) for i in range(graph.n)]
+    # One (row, column) gather of every closed neighbourhood reads a dense and a CSR matrix alike.
+    values = S[np.repeat(np.arange(graph.n), graph.degrees + 1), np.concatenate(closed)].tolist()
     agents = []
-    for i in range(graph.n):
-        cols = sorted((i, *graph.neighbors(i)))
-        # A (row, column) gather reads a dense and a CSR matrix alike.
-        row = dict(zip(cols, S[[i] * len(cols), cols].tolist()))
-        nbr_deg = {j: graph.degree(j) for j in graph.neighbors(i)}
+    for i, cols in enumerate(closed):
+        row = dict(zip(cols, values[ptr[i] + i : ptr[i + 1] + i + 1]))
+        nbr_deg = {j: deg[j] for j in cols if j != i}
         own = ParamSet.from_flat(params.specs, flat[i])
         agents.append(AgentState(i, own, row, nbr_deg))
     return agents

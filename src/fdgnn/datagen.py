@@ -93,20 +93,22 @@ def stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
     return samples.X.astype(np.float64, copy=False), samples.y.astype(np.float64, copy=False)
 
 
-def draw_features(plan, n: int, rng: np.random.Generator) -> np.ndarray:
-    cols = []
+def draw_features(plan, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """One sample's (n, g0) features, a block of columns per `plan` entry, into `out` if given."""
+    out = np.empty((n, sum(width for _, width in plan))) if out is None else out
+    col = 0
     for kind, width in plan:
+        block, col = out[:, col : col + width], col + width
         if kind == "uniform":
-            cols.append(rng.uniform(0.0, 1.0, (n, width)))
+            block[:] = rng.uniform(0.0, 1.0, (n, width))
         elif kind == "normal":
-            cols.append(rng.normal(0.0, 1.0, (n, width)))
+            block[:] = rng.normal(0.0, 1.0, (n, width))
         elif kind == "binary":
-            cols.append(rng.integers(0, 2, (n, width)).astype(np.float64))
+            block[:] = rng.integers(0, 2, (n, width))
         else:
-            block = np.zeros((n, width))
+            block[:] = 0.0
             block[np.arange(n), rng.integers(0, width, n)] = 1.0
-            cols.append(block)
-    return np.concatenate(cols, axis=1)
+    return out
 
 
 def draw_samples(teacher, shift, spec: DatasetSpec, count: int, rng: np.random.Generator) -> Dataset:
@@ -116,7 +118,7 @@ def draw_samples(teacher, shift, spec: DatasetSpec, count: int, rng: np.random.G
     sigma = np.sqrt(spec.noise_var)
     X, noise = np.empty((count, n, spec.g0)), np.empty((count, n))
     for k in range(count):
-        X[k] = draw_features(spec.feature_plan, n, rng)
+        draw_features(spec.feature_plan, n, rng, out=X[k])
         if sigma > 0:
             noise[k] = rng.normal(0.0, sigma, n)
     clean = predict(teacher, shift, X)

@@ -1,7 +1,8 @@
 """Graph topologies: random generators, shift operators, consensus weights."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -18,59 +19,69 @@ class GraphGenerationError(RuntimeError):
     """A random generator failed to produce a usable (connected) graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Undirected simple graph on nodes 0..n-1.
-
-    Edges are normalized to sorted (i, j) pairs with i < j; adjacency lists
-    are precomputed for neighbor lookups.
-    """
+    """Undirected simple graph on nodes 0..n-1, held in read-only int64 arrays: `pairs`, the
+    sorted (i, j) edges with i < j, and the CSR adjacency `indptr`, `indices`, each row ascending.
+    It is built from a tuple of pairs or an (E, 2) array, in any order, repeats included."""
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    _adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    pairs: np.ndarray
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges=()):
+        if n < 1:
             raise ValueError("graph needs at least one node")
-        seen = set()
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop on node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            seen.add((min(i, j), max(i, j)))
-        norm = tuple(sorted(seen))
-        object.__setattr__(self, "edges", norm)
-        adj = [[] for _ in range(self.n)]
-        for i, j in norm:
-            adj[i].append(j)
-            adj[j].append(i)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        e = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)  # one row per pair, or a ValueError
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+        if (bad := (lo == hi) | (lo < 0) | (hi >= n)).any():  # the first bad pair, as given
+            i, j = e[bad.argmax()].tolist()
+            raise ValueError(f"self-loop on node {i}" if i == j else f"edge ({i}, {j}) out of range for n={n}")
+        key = np.sort(lo * n + hi)  # edge (i, j) as entry i*n + j of an n x n matrix
+        key = key[np.diff(key, prepend=-1) > 0]
+        pairs = np.stack(np.divmod(key, n), axis=1)
+        indices = np.sort(np.concatenate((key, pairs[:, 1] * n + pairs[:, 0]))) % n
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(pairs.ravel(), minlength=n))))
+        for a in (pairs, indptr, indices):
+            a.flags.writeable = False
+        vars(self).update(n=n, pairs=pairs, indptr=indptr, indices=indices)
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.pairs.tolist()))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and self.n == other.n and np.array_equal(self.pairs, other.pairs)
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def _row(self, i: int) -> np.ndarray:
+        i = range(self.n)[i]  # as a tuple index: IndexError past n, a negative i from the end
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._adj[i]
+        return tuple(self._row(i).tolist())
 
     def degree(self, i: int) -> int:
-        return len(self._adj[i])
+        return len(self._row(i))
 
     @property
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self._adj], dtype=np.int64)
+        return np.diff(self.indptr)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return 0 <= i < self.n and j in self._adj[i]
+        return 0 <= i < self.n and j in self._row(i)
 
     def is_connected(self) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+        """Breadth-first from node 0, gathering a whole frontier's CSR rows at once."""
+        seen, front = np.zeros(self.n, dtype=bool), np.zeros(1, dtype=np.int64)
+        while front.size:
+            seen[front] = True
+            start, count = self.indptr[front], self.indptr[front + 1] - self.indptr[front]
+            reached = self.indices[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]
+            reached = np.sort(reached[~seen[reached]])
+            front = reached[np.diff(reached, prepend=-1) > 0]
+        return bool(seen.all())
 
 
 class _Stored:
@@ -116,25 +127,32 @@ def generate_ba(n: int, m: int, seed: int) -> Graph:
     """Preferential-attachment graph: each new node attaches m edges.
 
     Starts from a complete clique on the first m nodes, so the result is
-    always connected and has m*(n-m) + m*(m-1)//2 edges.
+    always connected and has m*(n-m) + m*(m-1)//2 edges. Node u draws targets from `ends`, the
+    edges so far flattened, 1,024 nodes at a time (README "Graph operators: dense or CSR").
     """
     if not n > m >= 1:
         raise ValueError(f"need n > m >= 1, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    # One entry per unit of degree; sampling from it is degree-proportional.
-    endpoints: list[int] = [v for e in edges for v in e]
-    for new in range(m, n):
-        targets: set[int] = set()
-        while len(targets) < m:
-            if endpoints:
-                targets.add(endpoints[int(rng.integers(len(endpoints)))])
-            else:
-                targets.add(int(rng.integers(new)))
-        for t in sorted(targets):
-            edges.append((t, new))
-            endpoints.extend((t, new))
-    return Graph(n, tuple(edges))
+    ends = [v for i in range(m) for j in range(i + 1, m) for v in (i, j)]
+    u = m
+    while u < n:
+        nodes = np.arange(u, min(n, u + 1024))
+        highs = np.repeat(np.maximum(m * (2 * nodes - m - 1), nodes), m)  # len(ends or range(u))
+        state = rng.bit_generator.state
+        draws = rng.integers(0, highs).tolist()
+        for k in range(0, len(draws), m):
+            targets = {(ends or range(u))[d] for d in draws[k : k + m]}
+            if repeat := len(targets) < m:  # redraw to here from the block's start, then one by one
+                rng.bit_generator.state = state
+                rng.integers(0, highs[: k + m])
+                while len(targets) < m:
+                    targets.add(ends[int(rng.integers(len(ends)))])
+            for t in sorted(targets):
+                ends += (t, u)
+            u += 1
+            if repeat:
+                break
+    return Graph(n, np.array(ends).reshape(-1, 2))
 
 
 def generate_er(n: int, p: float, seed: int, max_tries: int = 100) -> Graph:
@@ -147,7 +165,7 @@ def generate_er(n: int, p: float, seed: int, max_tries: int = 100) -> Graph:
     i, j = np.triu_indices(n, 1)
     for _ in range(max_tries):
         keep = rng.random(i.size) < p
-        g = Graph(n, tuple(zip(i[keep].tolist(), j[keep].tolist())))
+        g = Graph(n, np.stack((i[keep], j[keep]), axis=1))
         if g.is_connected():
             return g
     raise GraphGenerationError(
@@ -181,7 +199,7 @@ def build_shift(g: Graph, variant: str = "normalized-adjacency") -> ShiftOperato
     """Build the requested mixing matrix straight from the edge list."""
     if variant not in SHIFT_VARIANTS:
         raise ValueError(f"unknown shift variant {variant!r}")
-    i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    i, j = g.pairs.T
     d = g.degrees.astype(np.float64)
     if variant.startswith("normalized"):
         dinv = np.where(d > 0, d, 1.0) ** -0.5  # an isolated node's entry is never read
@@ -201,7 +219,7 @@ def metropolis_weights(g: Graph) -> ConsensusWeights:
     Off-diagonal entries are 1 / (1 + max(d(i), d(j))) on edges; diagonals
     absorb the remainder so every row sums to one.
     """
-    i, j = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
+    i, j = g.pairs.T
     d = g.degrees
     return ConsensusWeights(_matrix(g.n, i, j, 1.0 / (1.0 + np.maximum(d[i], d[j]))))
 
@@ -214,7 +232,7 @@ def metropolis_row(degree: int, neighbor_degrees: dict[int, int]) -> dict[int, f
 def save_edge_list(g: Graph, path: str | Path) -> None:
     """Write `n` on the first line, then one ascending `i j` pair per line."""
     lines = [str(g.n)]
-    lines.extend(f"{i} {j}" for i, j in g.edges)
+    lines.extend(f"{i} {j}" for i, j in g.pairs.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .agents import stack_flat_params, stacked_gradients
 from .datagen import DatasetSpec, default_teacher_specs, draw_samples, make_dataset, stack_samples
-from .gcnn import LayerSpec, ParamSet, init_params, mse_loss, predict, validate_specs
+from .gcnn import LayerSpec, ParamSet, init_params, predict, validate_specs
 from .graphs import (
     SHIFT_VARIANTS,
     Graph,
@@ -186,10 +186,10 @@ def _build_graph(config: RunConfig, seed: int) -> Graph:
 
 
 def evaluate_mse(params: ParamSet, shift, samples) -> float:
-    """Mean over samples of the node-mean squared error under `params`,
-    from chunked batched forward passes over the stacked samples."""
+    """Mean over samples of the node-mean squared error under `params`, from
+    chunked batched forward passes over the stacked samples, summed in sample order."""
     X, Y = stack_samples(samples)
-    return sum(mse_loss(y, row) for y, row in zip(Y, predict(params, shift, X))) / len(samples)
+    return sum(np.mean((Y - predict(params, shift, X)) ** 2, axis=1).tolist()) / len(samples)
 
 
 def _setup(config: RunConfig):
