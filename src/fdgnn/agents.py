@@ -20,6 +20,10 @@ is tested to agree with the message-level ops.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,6 +273,47 @@ def make_agents(graph: Graph, shift: ShiftOperator, params: ParamSet) -> list[Ag
     return agents
 
 
+SPLIT_MIN = 16_000  # the n*B from which a kernel call on a CSR S runs one block of node rows per core
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+@functools.cache
+def _pool():
+    """(usable cores - 1) helper threads, each bound to one core but the one the first caller ran on:
+    a scheduler that keeps a process's threads on one core would otherwise stack them there."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    if not hasattr(os, "sched_setaffinity"):
+        return ThreadPoolExecutor(usable_cores() - 1, "fdgnn")
+    with open("/proc/thread-self/stat") as f:  # field 39: the core this thread last ran on
+        cores = sorted(os.sched_getaffinity(0) - {int(f.read().rsplit(")", 1)[1].split()[36])})
+    return ThreadPoolExecutor(len(cores), "fdgnn", lambda: os.sched_setaffinity(0, {cores.pop()}))
+
+
+def run_parallel(tasks, workers: int) -> list:
+    """Each task's result, in order, once all have finished. The calling thread and up to workers - 1
+    jobs on the helper pool claim tasks one at a time; a job no free thread has started is cancelled,
+    so threads never outnumber usable cores and a task may itself call run_parallel."""
+    done, claims = [None] * len(tasks), itertools.count()
+
+    def drain():
+        while (i := next(claims)) < len(tasks):
+            done[i] = tasks[i]()
+
+    jobs = [_pool().submit(drain) for _ in range(min(workers, len(tasks), usable_cores()) - 1)]
+    try:
+        drain()
+    finally:
+        errors = [err for job in jobs if not job.cancel() and (err := job.exception())]
+    if errors:
+        raise errors[0]
+    return done
+
+
 @dataclass
 class StackedResult:
     yhat: np.ndarray  # (B, n)
@@ -296,6 +341,12 @@ def _aggregate(S, x: np.ndarray, out: np.ndarray) -> None:
         np.copyto(out2, S @ x2)
 
 
+def _rows(M, a: int, b: int):
+    """A CSR view of rows a..b-1 of the CSR matrix M, on M's own arrays."""
+    p = M.indptr[a]  # entries past the view's last indptr are never read
+    return type(M)((M.data[p:], M.indices[p:], M.indptr[a : b + 1] - p), shape=(b - a, M.shape[1]))
+
+
 def stacked_gradients(
     specs,
     theta0_stack,
@@ -318,7 +369,10 @@ def stacked_gradients(
     over the (n, B*width) view for the whole batch, the per-node weights are
     a matmul batched over nodes, and the backward neighbour term is S.T @ msg
     on the same view (S.T is a view that BLAS reads transposed; of a CSR S,
-    it is the CSC view of the same arrays).
+    it is the CSC view of the same arrays). Each step between two aggregations
+    writes only its own nodes' rows; on a CSR S with n*B >= SPLIT_MIN it runs
+    over one block of rows per usable core, every row summed in the serial
+    order, so the bytes are the same (README "Graph operators: dense or CSR").
 
     Intermediates go into buffers kept in `work`, a dict the caller owns and passes on
     every call, so a run's updates reuse their memory; without it they are fresh. The
@@ -333,36 +387,58 @@ def stacked_gradients(
         raise ValueError(f"features must be (B, {n}, {specs[0].g_in}), got {X.shape}")
     if specs[-1].g_out != 1:
         raise ValueError("prediction network must end in a width-1 layer")
+    if y is not None and np.shape(y) != (B, n):
+        raise ValueError(f"labels must be ({B}, {n}), got {np.shape(y)}")
     cur, layers = _kernel_buffers({} if work is None else work, specs, n, B)
-    np.copyto(cur, X.transpose(1, 0, 2))
-    inputs = []
-    for k, (spec, (agg, h, nxt)) in enumerate(zip(specs, layers)):
-        _aggregate(S, cur, agg)
-        np.matmul(cur, theta0_stack[k], out=h)
-        h += np.matmul(agg, theta1_stack[k], out=nxt)
-        inputs.append(cur)
-        cur = apply_activation(spec, h, out=nxt)
-    yhat = cur[..., 0].T.copy()
-    if y is None:
-        return StackedResult(yhat, None)
+    cores = usable_cores() if getattr(S, "format", None) == "csr" and n * B >= SPLIT_MIN else 1
+    blocks = [(None, S, S.T)]
+    if cores > 1:  # each block's rows of S, and of S.T in CSR form for the backward neighbour term
+        ST, cut = S.T.tocsr() if y is not None else S, [n * c // cores for c in range(cores + 1)]
+        blocks = [(slice(a, b), _rows(S, a, b), _rows(ST, a, b)) for a, b in zip(cut, cut[1:])]
+    y = None if y is None else np.asarray(y, dtype=np.float64)
+    yhat, slices = np.empty((B, n)), param_slices(specs)
+    grads = None if y is None else np.empty((n, num_params(specs)))
+    # Layer k's input: X node-major, then each activation buffer, or h itself for the identity.
+    ins = [cur] + [h if s.activation == "identity" else nxt for s, (_, h, nxt) in zip(specs, layers)]
 
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (B, n):
-        raise ValueError(f"labels must be ({B}, {n}), got {y.shape}")
-    slices = param_slices(specs)
-    grads = np.empty((n, num_params(specs)))
-    np.copyto(layers[-1][2], (2.0 * (yhat - y)).T[..., None])
-    for k in reversed(range(len(specs))):
-        agg, h, q = layers[k]
-        if specs[k].activation != "identity":
-            q *= activation_derivative(specs[k], h, out=h)
-        for x, sl in zip((inputs[k], agg), slices[k]):
-            grads[:, sl] = np.matmul(x.transpose(0, 2, 1), q).reshape(n, -1)
-        if k > 0:
-            z = layers[k - 1][2]  # layer k-1's output buffer, dead now: msg, then its q
-            _aggregate(S.T, np.matmul(q, theta1_stack[k].transpose(0, 2, 1), out=z), agg)
-            np.matmul(q, theta0_stack[k].transpose(0, 2, 1), out=z)
-            z += agg
+    def steps(rows, S_rows, ST_rows):  # the kernel for the nodes in `rows`, paused at each barrier
+        v = (lambda a: a) if rows is None else operator.itemgetter(rows)  # the block's rows of an array
+        np.copyto(v(cur), v(X.transpose(1, 0, 2)))
+        for k, spec in enumerate(specs):
+            yield  # every node's layer-k input is in
+            agg, h, nxt = map(v, layers[k])
+            _aggregate(S_rows, ins[k], agg)
+            np.matmul(v(ins[k]), v(theta0_stack[k]), out=h)
+            h += np.matmul(agg, v(theta1_stack[k]), out=nxt)
+            apply_activation(spec, h, out=nxt)
+        np.copyto(v(yhat.T), v(ins[-1])[..., 0])
+        if y is None:
+            return
+        yield  # every node's forward pass is done
+        q = v(layers[-1][2])
+        np.multiply(np.subtract(v(ins[-1]), v(y.T)[..., None], out=q), 2.0, out=q)
+        for k in reversed(range(len(specs))):
+            agg, h, q = map(v, layers[k])
+            if specs[k].activation != "identity":
+                q *= activation_derivative(specs[k], h, out=h)
+            for x, sl in zip((v(ins[k]), agg), slices[k]):
+                v(grads)[:, sl] = np.matmul(x.transpose(0, 2, 1), q).reshape(len(q), -1)
+            if k > 0:
+                z = v(layers[k - 1][2])  # layer k-1's output buffer, dead now: msg, then its q
+                np.matmul(q, v(theta1_stack[k]).transpose(0, 2, 1), out=z)
+                yield  # every node's msg is in
+                _aggregate(ST_rows, layers[k - 1][2], agg)
+                yield  # every node has read msg
+                np.matmul(q, v(theta0_stack[k]).transpose(0, 2, 1), out=z)
+                z += agg
+
+    runs = [steps(*block) for block in blocks]
+    if len(runs) == 1:
+        for _ in runs[0]:
+            pass
+    else:  # one step of every block per round; the generators end together
+        while run_parallel([functools.partial(next, run, True) for run in runs], cores)[0] is None:
+            pass
     return StackedResult(yhat, grads)
 
 

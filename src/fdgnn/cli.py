@@ -1,7 +1,7 @@
 """Command-line entry point: run training, compare methods, report costs, gradient check.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical aborts.
-`compare` runs one worker thread per usable CPU, up to one per training; FDGNN_THREADS overrides.
+`compare` runs one worker per usable CPU, up to one per training; FDGNN_THREADS sets fewer.
 """
 from __future__ import annotations
 
@@ -9,13 +9,13 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .agents import stack_flat_params, stacked_gradients
+from .agents import run_parallel, stack_flat_params, stacked_gradients, usable_cores
 from .gcnn import central_gradient, fd_gradient, init_params, save_params
 from .graphs import build_shift, generate_er
 from .netsim import cost_table, expected_rounds, write_ledger_csv, write_trace_csv
@@ -141,13 +141,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cfg, setup = build_config(args)
     trained = [method for method in COMPARE_METHODS if method[0] not in _REBILLED]
     env = os.environ.get("FDGNN_THREADS")
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(trained), cpus or 1)
-    if env:
-        try:
-            workers = max(1, int(env))
-        except ValueError as err:
-            raise ConfigError(f"FDGNN_THREADS must be an integer: {env!r}") from err
+    try:  # run_parallel uses at most one worker per usable core and per training
+        workers = max(1, int(env)) if env else usable_cores()
+    except ValueError as err:
+        raise ConfigError(f"FDGNN_THREADS must be an integer: {env!r}") from err
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -156,8 +153,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         run_cfg = replace(cfg, optimizer=kind, strategy=strategy or cfg.strategy)
         return name, _run_one(run_cfg, setup).log.records
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        records = dict(pool.map(run, trained))
+    records = dict(run_parallel([partial(run, method) for method in trained], workers))
     lines = [f"method,{METRICS_COLUMNS}"]
     for name, _, strategy in COMPARE_METHODS:
         if name in _REBILLED:  # billed on the round axis only, as the centralized runs are
