@@ -28,15 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gcnn import (
-    ParamSet,
-    activation_derivative,
-    apply_activation,
-    layer_views,
-    num_params,
-    param_slices,
-)
-from .graphs import Graph, ShiftOperator, as_matrix, metropolis_row
+from .gcnn import ParamSet, activation_derivative, apply_activation, layer_views, num_params, param_slices
+from .graphs import Graph, ShiftOperator, as_matrix, matmul_into, metropolis_row
 
 
 class ProtocolError(RuntimeError):
@@ -138,13 +131,9 @@ def _gather(state, inbox, payload_type, tag_layer, width):
         if not isinstance(payload, payload_type):
             raise ProtocolError(f"unexpected payload {type(payload).__name__}")
         if payload.layer != tag_layer:
-            raise ProtocolError(
-                f"payload for layer {payload.layer}, expected {tag_layer}"
-            )
+            raise ProtocolError(f"payload for layer {payload.layer}, expected {tag_layer}")
         if payload.values.shape != (width,):
-            raise ProtocolError(
-                f"payload width {payload.values.shape} != ({width},)"
-            )
+            raise ProtocolError(f"payload width {payload.values.shape} != ({width},)")
         got[msg.sender] = payload.values
     if len(got) < len(inbox):  # a sender repeated
         senders = [msg.sender for msg in inbox]
@@ -320,25 +309,27 @@ class StackedResult:
     grads: np.ndarray | None  # (n, dim)
 
 
-def _kernel_buffers(work: dict, specs, n: int, B: int):
+class _Buffers(tuple):
+    """`_kernel_buffers`' (input, layers), and `transposed`: the latest split S and its CSR S.T."""
+
+    transposed = (None, None)
+
+
+def _kernel_buffers(work: dict, specs, n: int, B: int) -> _Buffers:
     """The kernel's (n, B, width) buffers, kept in `work` for the latest (specs, n, B): the input,
     then per layer its aggregate, h, and `nxt` (agg @ theta1, the activation, then the layer's q)."""
     bufs = work.get((specs, n, B))
     if bufs is None:
         w = [specs[0].g_in] + [s.g_out for s in specs]
         work.clear()
-        bufs = work[specs, n, B] = np.empty((n, B, w[0])), [
-            (np.empty((n, B, a)), np.empty((n, B, b)), np.empty((n, B, b))) for a, b in zip(w, w[1:])]
+        bufs = work[specs, n, B] = _Buffers((np.empty((n, B, w[0])), [
+            (np.empty((n, B, a)), np.empty((n, B, b)), np.empty((n, B, b))) for a, b in zip(w, w[1:])]))
     return bufs
 
 
 def _aggregate(S, x: np.ndarray, out: np.ndarray) -> None:
-    """out = S @ x over the (n, B*width) views; a CSR product is copied in."""
-    x2, out2 = x.reshape(len(x), -1), out.reshape(len(out), -1)
-    if isinstance(S, np.ndarray):
-        np.matmul(S, x2, out=out2)
-    else:
-        np.copyto(out2, S @ x2)
+    """out = S @ x over the (n, B*width) views, written in place."""
+    matmul_into(S, x.reshape(len(x), -1), out.reshape(len(out), -1))
 
 
 def _rows(M, a: int, b: int):
@@ -347,15 +338,8 @@ def _rows(M, a: int, b: int):
     return type(M)((M.data[p:], M.indices[p:], M.indptr[a : b + 1] - p), shape=(b - a, M.shape[1]))
 
 
-def stacked_gradients(
-    specs,
-    theta0_stack,
-    theta1_stack,
-    S,
-    X: np.ndarray,
-    y: np.ndarray | None,
-    work: dict | None = None,
-) -> StackedResult:
+def stacked_gradients(specs, theta0_stack, theta1_stack, S, X: np.ndarray, y: np.ndarray | None,
+                      work: dict | None = None) -> StackedResult:
     """Bulk-synchronous execution of every node's local forward/backward steps.
 
     theta*_stack hold each node's own weight copy, one (n, g_in, g_out) array
@@ -374,9 +358,9 @@ def stacked_gradients(
     over one block of rows per usable core, every row summed in the serial
     order, so the bytes are the same (README "Graph operators: dense or CSR").
 
-    Intermediates go into buffers kept in `work`, a dict the caller owns and passes on
-    every call, so a run's updates reuse their memory; without it they are fresh. The
-    returned yhat and grads are always fresh arrays.
+    Intermediates go into buffers kept in `work`, a dict the caller owns and passes on every
+    call, so a run's updates reuse their memory (a split keeps S's CSR transpose there until S
+    changes); without it they are fresh. The returned yhat and grads are always fresh arrays.
     """
     specs = tuple(specs)
     S = as_matrix(S)
@@ -389,14 +373,16 @@ def stacked_gradients(
         raise ValueError("prediction network must end in a width-1 layer")
     if y is not None and np.shape(y) != (B, n):
         raise ValueError(f"labels must be ({B}, {n}), got {np.shape(y)}")
-    cur, layers = _kernel_buffers({} if work is None else work, specs, n, B)
+    cur, layers = bufs = _kernel_buffers({} if work is None else work, specs, n, B)
     cores = usable_cores() if getattr(S, "format", None) == "csr" and n * B >= SPLIT_MIN else 1
     blocks = [(None, S, S.T)]
-    if cores > 1:  # each block's rows of S, and of S.T in CSR form for the backward neighbour term
-        ST, cut = S.T.tocsr() if y is not None else S, [n * c // cores for c in range(cores + 1)]
+    if cores > 1:  # each block's rows of S, and of S.T in CSR form, built once per S
+        if bufs.transposed[0] is not S:
+            bufs.transposed = S, S.T.tocsr()
+        ST, cut = bufs.transposed[1], [n * c // cores for c in range(cores + 1)]
         blocks = [(slice(a, b), _rows(S, a, b), _rows(ST, a, b)) for a, b in zip(cut, cut[1:])]
     y = None if y is None else np.asarray(y, dtype=np.float64)
-    yhat, slices = np.empty((B, n)), param_slices(specs)
+    yhat = np.empty((B, n))
     grads = None if y is None else np.empty((n, num_params(specs)))
     # Layer k's input: X node-major, then each activation buffer, or h itself for the identity.
     ins = [cur] + [h if s.activation == "identity" else nxt for s, (_, h, nxt) in zip(specs, layers)]
@@ -415,14 +401,14 @@ def stacked_gradients(
         if y is None:
             return
         yield  # every node's forward pass is done
-        q = v(layers[-1][2])
+        q, dW = v(layers[-1][2]), layer_views(specs, v(grads))  # dW: the block's per-layer gradient views
         np.multiply(np.subtract(v(ins[-1]), v(y.T)[..., None], out=q), 2.0, out=q)
         for k in reversed(range(len(specs))):
             agg, h, q = map(v, layers[k])
             if specs[k].activation != "identity":
                 q *= activation_derivative(specs[k], h, out=h)
-            for x, sl in zip((v(ins[k]), agg), slices[k]):
-                v(grads)[:, sl] = np.matmul(x.transpose(0, 2, 1), q).reshape(len(q), -1)
+            for x, g in zip((v(ins[k]), agg), (dW[0][k], dW[1][k])):
+                np.matmul(x.transpose(0, 2, 1), q, out=g)
             if k > 0:
                 z = v(layers[k - 1][2])  # layer k-1's output buffer, dead now: msg, then its q
                 np.matmul(q, v(theta1_stack[k]).transpose(0, 2, 1), out=z)

@@ -7,12 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-SHIFT_VARIANTS = (
-    "adjacency",
-    "laplacian",
-    "normalized-adjacency",
-    "normalized-laplacian",
-)
+SHIFT_VARIANTS = ("adjacency", "laplacian", "normalized-adjacency", "normalized-laplacian")
 
 
 class GraphGenerationError(RuntimeError):
@@ -106,6 +101,26 @@ def as_matrix(m):
     return m if hasattr(m, "tocsr") else np.asarray(m, dtype=np.float64)
 
 
+def matmul_into(M, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = M @ x with the bytes of `M @ x`, for a dense, CSR or CSC float64 M. scipy has no `out=` for
+    a sparse product: `out` is zeroed and handed to the routine that `M @ x` runs, which would write
+    into a copy silently, so `out` must be a C-contiguous float64 array that does not overlap x."""
+    if out.dtype != np.float64 or not out.flags.c_contiguous or out.shape != (M.shape[0], *x.shape[1:]) \
+            or np.may_share_memory(x, out):
+        raise ValueError(f"need a separate C-contiguous float64 out of shape {(M.shape[0], *x.shape[1:])}")
+    if isinstance(M, np.ndarray):
+        return np.matmul(M, x, out=out)
+    if M.format not in ("csr", "csc") or (M.dtype, x.dtype) != (np.float64,) * 2 or x.ndim > 2 or len(x) != M.shape[1]:
+        raise ValueError(f"need a CSR or CSC float64 M and a float64 x of {M.shape[1]} rows")
+    from scipy.sparse import _sparsetools
+
+    out.fill(0.0)
+    vecs = () if x.size == len(x) else x.shape[1:]  # scipy multiplies a single column as a vector
+    getattr(_sparsetools, M.format + ("_matvecs" if vecs else "_matvec"))(
+        *M.shape, *vecs, M.indptr, M.indices, M.data, x.ravel(), out.ravel())
+    return out
+
+
 @dataclass(frozen=True)
 class ShiftOperator(_Stored):
     """Mixing matrix whose support is restricted to closed neighborhoods."""
@@ -168,9 +183,7 @@ def generate_er(n: int, p: float, seed: int, max_tries: int = 100) -> Graph:
         g = Graph(n, np.stack((i[keep], j[keep]), axis=1))
         if g.is_connected():
             return g
-    raise GraphGenerationError(
-        f"no connected G({n}, {p}) sample in {max_tries} tries"
-    )
+    raise GraphGenerationError(f"no connected G({n}, {p}) sample in {max_tries} tries")
 
 
 def _matrix(n: int, i, j, w, diag=None):

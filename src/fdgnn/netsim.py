@@ -37,7 +37,7 @@ from .agents import (
 from .datagen import stack_samples
 from .gcnn import ParamSet
 from .graphs import ConsensusWeights, Graph, ShiftOperator, metropolis_weights
-from .optim import DO_KINDS, DistOptimizer, OptimizerConfig
+from .optim import DO_KINDS, DistOptimizer, OptimizerConfig, row_chunks
 
 ENGINES = ("agents", "stacked")
 
@@ -390,8 +390,12 @@ class Network:
         return ParamSet.from_flat(self.specs, self.theta.mean(axis=0))
 
     def consensus_gap(self) -> float:
-        diff = self.theta - self.theta.mean(axis=0)  # the only (n, dim) temporary, squared in place
-        return float(np.max(np.sqrt(np.add.reduce(np.multiply(diff, diff, out=diff), axis=1))))
+        """The largest row distance from the node mean, as the sqrt of the largest squared one over row
+        chunks: the same bytes, since sqrt is correctly rounded and monotone; np.maximum keeps a NaN."""
+        mean, top = self.theta.mean(axis=0), 0.0
+        for r in row_chunks(self.theta):
+            top = np.maximum(top, np.add.reduce(np.square(self.theta[r] - mean), axis=1).max())
+        return float(np.sqrt(top))
 
 
 def _consensus_slots(agents):
@@ -431,8 +435,8 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
 
     `engine` selects the vectorized kernel ("stacked", the default) or
     message-level execution ("agents"); both agree numerically and bill the
-    same cached plan cost. The update replaces `net.theta`; it steps on the
-    per-node batch-summed gradients, which the result holds, whatever the
+    same cached plan cost. The update writes `net.theta` in place; it steps on
+    the per-node batch-summed gradients, which the result holds, whatever the
     strategy. A custom `plan` is audited before it runs.
     """
     st = strategy_of(strategy)
@@ -446,9 +450,7 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
     n, g0 = net.n, net.specs[0].g_in
     X, Y = stack_samples(samples)
     if X.shape != (B, n, g0) or Y.shape != (B, n):
-        raise ValueError(
-            f"sample shapes must be ({n}, {g0}) and ({n},), got {X.shape[1:]} and {Y.shape[1:]}"
-        )
+        raise ValueError(f"sample shapes must be ({n}, {g0}) and ({n},), got {X.shape[1:]} and {Y.shape[1:]}")
     if plan is None:
         cost = net.plan_cost(strategy, B)
     elif (plan.strategy, plan.L, plan.B, plan.K) != (strategy, len(net.specs), B, cfg.K):
@@ -464,7 +466,7 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
     grads, yhat, proto = execute(net, cost, X, Y, psi)
 
     if st.kinds:
-        net.theta = net.optimizer.apply(psi, net.weights, grads, alpha_t)
+        net.optimizer.apply(psi, net.weights, grads, alpha_t, out=net.theta)
     delta = CommLedger()
     for ledger in (net.ledger, delta):
         ledger.add_plan(n, cost)
