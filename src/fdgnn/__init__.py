@@ -21,7 +21,6 @@ from .gcnn import (
     init_params,
     load_params,
     mse_loss,
-    node_losses,
     save_params,
 )
 from .agents import (
@@ -36,7 +35,6 @@ from .agents import (
     stacked_gradients,
 )
 from .optim import (
-    CentralOptimizer,
     DistOptimizer,
     MomentState,
     OptimizerConfig,
@@ -56,10 +54,9 @@ from .netsim import (
     build_round_plan,
     cost_table,
     expected_rounds,
-    ledger_report,
     run_minibatch,
 )
-from .datagen import Dataset, DatasetSpec, Sample, make_dataset, train_test_split
+from .datagen import Dataset, DatasetSpec, Sample, make_dataset
 from .trainer import (
     MetricsLog,
     RunConfig,

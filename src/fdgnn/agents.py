@@ -272,28 +272,33 @@ def usable_cores() -> int:
 
 @functools.cache
 def _pool():
-    """(usable cores - 1) helper threads, each bound to one core but the one the first caller ran on:
-    a scheduler that keeps a process's threads on one core would otherwise stack them there."""
+    """(pool, helpers): usable cores - 1 helper threads, each bound to one core but the one the first
+    caller ran on (a scheduler that keeps a process's threads on one core would otherwise stack them
+    there), and no pool when no other core is usable."""
     from concurrent.futures import ThreadPoolExecutor
 
     if not hasattr(os, "sched_setaffinity"):
-        return ThreadPoolExecutor(usable_cores() - 1, "fdgnn")
+        helpers = usable_cores() - 1
+        return (ThreadPoolExecutor(helpers, "fdgnn") if helpers else None), helpers
     with open("/proc/thread-self/stat") as f:  # field 39: the core this thread last ran on
         cores = sorted(os.sched_getaffinity(0) - {int(f.read().rsplit(")", 1)[1].split()[36])})
-    return ThreadPoolExecutor(len(cores), "fdgnn", lambda: os.sched_setaffinity(0, {cores.pop()}))
+    helpers, bind = len(cores), lambda: os.sched_setaffinity(0, {cores.pop()})
+    return (ThreadPoolExecutor(helpers, "fdgnn", bind) if helpers else None), helpers
 
 
 def run_parallel(tasks, workers: int) -> list:
     """Each task's result, in order, once all have finished. The calling thread and up to workers - 1
-    jobs on the helper pool claim tasks one at a time; a job no free thread has started is cancelled,
-    so threads never outnumber usable cores and a task may itself call run_parallel."""
+    jobs on the helper pool, no more than it has helpers, claim tasks one at a time; a job no free
+    thread has started is cancelled, so threads never outnumber usable cores and a task may itself
+    call run_parallel. With no helper, the calling thread runs every task."""
     done, claims = [None] * len(tasks), itertools.count()
 
     def drain():
         while (i := next(claims)) < len(tasks):
             done[i] = tasks[i]()
 
-    jobs = [_pool().submit(drain) for _ in range(min(workers, len(tasks), usable_cores()) - 1)]
+    pool, helpers = _pool()
+    jobs = [pool.submit(drain) for _ in range(min(workers, len(tasks), usable_cores(), helpers + 1) - 1)]
     try:
         drain()
     finally:
@@ -355,8 +360,8 @@ def stacked_gradients(specs, theta0_stack, theta1_stack, S, X: np.ndarray, y: np
     on the same view (S.T is a view that BLAS reads transposed; of a CSR S,
     it is the CSC view of the same arrays). Each step between two aggregations
     writes only its own nodes' rows; on a CSR S with n*B >= SPLIT_MIN it runs
-    over one block of rows per usable core, every row summed in the serial
-    order, so the bytes are the same (README "Graph operators: dense or CSR").
+    over one block of rows per usable core, up to n blocks, every row summed in
+    the serial order, so the bytes are the same (README "Graph operators: dense or CSR").
 
     Intermediates go into buffers kept in `work`, a dict the caller owns and passes on every
     call, so a run's updates reuse their memory (a split keeps S's CSR transpose there until S
@@ -374,7 +379,7 @@ def stacked_gradients(specs, theta0_stack, theta1_stack, S, X: np.ndarray, y: np
     if y is not None and np.shape(y) != (B, n):
         raise ValueError(f"labels must be ({B}, {n}), got {np.shape(y)}")
     cur, layers = bufs = _kernel_buffers({} if work is None else work, specs, n, B)
-    cores = usable_cores() if getattr(S, "format", None) == "csr" and n * B >= SPLIT_MIN else 1
+    cores = min(usable_cores(), n) if getattr(S, "format", None) == "csr" and n * B >= SPLIT_MIN else 1
     blocks = [(None, S, S.T)]
     if cores > 1:  # each block's rows of S, and of S.T in CSR form, built once per S
         if bufs.transposed[0] is not S:

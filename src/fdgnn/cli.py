@@ -106,6 +106,16 @@ def build_config(args: argparse.Namespace) -> tuple[RunConfig, tuple]:
         raise ConfigError(str(err)) from err
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory, made if missing; a path that cannot be one is a config error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot make output directory {path}: {err}") from err
+    return out
+
+
 def _run_one(cfg: RunConfig, setup: tuple):
     train = train_centralized if cfg.optimizer in CENTRAL_KINDS else train_distributed
     return train(cfg, setup=setup)
@@ -113,8 +123,7 @@ def _run_one(cfg: RunConfig, setup: tuple):
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg, setup = build_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     code = EXIT_OK
     try:
         result = _run_one(cfg, setup)
@@ -145,8 +154,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         workers = max(1, int(env)) if env else usable_cores()
     except ValueError as err:
         raise ConfigError(f"FDGNN_THREADS must be an integer: {env!r}") from err
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
 
     def run(method):
         name, kind, strategy = method
@@ -172,9 +180,7 @@ def cmd_costs(args: argparse.Namespace) -> int:
     if args.L < 1 or args.B < 1 or args.K < 1:
         raise ConfigError("L, B and K must be positive")
     rows = cost_table(args.L, args.B, args.K)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_ledger_csv(out / "costs.csv", rows)
+    write_ledger_csv(_out_dir(args.out) / "costs.csv", rows)
     header = f"{'strategy':<22}{'formula':>10}{'measured':>10}{'broadcasts':>12}{'scalars':>10}"
     print(header)
     ok = True

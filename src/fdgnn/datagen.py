@@ -133,18 +133,6 @@ def make_dataset(shift: ShiftOperator, spec: DatasetSpec):
     return draw_samples(teacher, shift, spec, spec.n_samples, rng), teacher
 
 
-def train_test_split(samples, fraction: float, seed: int):
-    """Deterministic disjoint split; the two parts partition the input."""
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"split fraction must be in (0, 1), got {fraction}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(samples))
-    cut = int(fraction * len(samples))
-    train = [samples[i] for i in order[:cut]]
-    test = [samples[i] for i in order[cut:]]
-    return train, test
-
-
 def save_dataset(samples, spec: DatasetSpec, n_nodes: int, out_dir: str | Path) -> None:
     """CSV bundle: features.csv (sample-major node rows), labels.csv, spec.json."""
     out = Path(out_dir)

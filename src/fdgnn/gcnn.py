@@ -211,18 +211,13 @@ def predict(params: ParamSet, shift, X: np.ndarray) -> np.ndarray:
     return np.concatenate([forward(params, shift, X[i : i + step])[0] for i in range(0, len(X), step)])
 
 
-def node_losses(y: np.ndarray, yhat: np.ndarray) -> np.ndarray:
-    """Per-node squared errors."""
+def mse_loss(y: np.ndarray, yhat: np.ndarray) -> float:
+    """Mean over nodes of the squared errors."""
     y = np.asarray(y, dtype=np.float64)
     yhat = np.asarray(yhat, dtype=np.float64)
     if y.shape != yhat.shape:
         raise ValueError(f"length mismatch: {y.shape} vs {yhat.shape}")
-    return (y - yhat) ** 2
-
-
-def mse_loss(y: np.ndarray, yhat: np.ndarray) -> float:
-    """Mean over nodes of the squared errors."""
-    return float(np.mean(node_losses(y, yhat)))
+    return float(np.mean((y - yhat) ** 2))
 
 
 def central_gradient(params: ParamSet, shift, X: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -462,8 +462,13 @@ def run_minibatch(net: Network, samples, strategy: str, alpha_t=None, engine="st
 
     psi = net.optimizer.mix(net.theta, net.weights) if st.kinds else net.theta
 
-    execute = _execute_agents if engine == "agents" else _execute_stacked
-    grads, yhat, proto = execute(net, cost, X, Y, psi)
+    if engine == "agents":
+        grads, yhat, proto = _execute_agents(net, cost, X, Y, psi)
+    else:  # the agents' arithmetic without message objects
+        th0, th1 = stack_flat_params(net.specs, psi)
+        res = stacked_gradients(net.specs, th0, th1, net.shift, X, Y if st.kinds else None, net._work)
+        grads = res.grads if st.kinds else np.zeros((n, net.dim))
+        yhat, proto = res.yhat, None
 
     if st.kinds:
         net.optimizer.apply(psi, net.weights, grads, alpha_t, out=net.theta)
@@ -546,38 +551,18 @@ def _execute_agents(net, cost, X, Y, psi):
     return grads, yhat, proto
 
 
-def _execute_stacked(net, cost, X, Y, psi):
-    """Vectorized execution: the agents' arithmetic without message objects."""
-    th0, th1 = stack_flat_params(net.specs, psi)
-    trains = bool(STRATEGY[cost.plan.strategy].kinds)
-    res = stacked_gradients(net.specs, th0, th1, net.shift, X, Y if trains else None, net._work)
-    grads = res.grads if trains else np.zeros((net.n, net.dim))
-    return grads, res.yhat, None
-
-
-def ledger_report(entries) -> list[dict]:
-    """Rows of measured cost next to the closed-form round counts.
-
-    entries: iterables of (strategy, L, B, K, ledger).
-    """
-    return [
-        {"strategy": strategy, "L": L, "B": B, "K": K, "rounds": ledger.rounds,
-         "expected_rounds": expected_rounds(strategy, L, B, K),
-         "broadcasts": ledger.broadcasts, "scalars": ledger.scalars}
-        for strategy, L, B, K, ledger in entries
-    ]
-
-
 def cost_table(L: int, B: int, K: int) -> list[dict]:
     """Every strategy's bill for one mini-batch on 4 nodes with 1x1 layers:
     the `PlanCost` of its built and audited plan, as a training run's ledger
     charges it, next to the closed-form round count."""
-    entries = []
+    rows = []
     for strategy in STRATEGIES:
         ledger = CommLedger()
         ledger.add_plan(4, PlanCost.of(build_round_plan(L, B, K, strategy), [1] * (L + 1), 2 * L))
-        entries.append((strategy, L, B, K, ledger))
-    return ledger_report(entries)
+        rows.append({"strategy": strategy, "L": L, "B": B, "K": K, "rounds": ledger.rounds,
+                     "expected_rounds": expected_rounds(strategy, L, B, K),
+                     "broadcasts": ledger.broadcasts, "scalars": ledger.scalars})
+    return rows
 
 
 def write_ledger_csv(path: str | Path, rows) -> None:

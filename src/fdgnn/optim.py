@@ -175,19 +175,6 @@ def central_update(theta, grad, cfg: OptimizerConfig, moments: MomentState | Non
     return _moment_update(theta, moments, grad, cfg, alpha)
 
 
-class CentralOptimizer:
-    """Stateful wrapper for the centralized baseline kinds."""
-
-    def __init__(self, cfg: OptimizerConfig, dim: int):
-        if cfg.kind not in CENTRAL_KINDS:
-            raise ValueError(f"{cfg.kind!r} is not a centralized kind")
-        self.cfg = cfg
-        self.moments = MomentState.zeros(dim) if cfg.kind == "central-adam" else None
-
-    def step(self, theta, grad, alpha_t):
-        return central_update(theta, grad, self.cfg, self.moments, alpha_t)
-
-
 class DistOptimizer:
     """Network-wide state for the distributed update kinds.
 

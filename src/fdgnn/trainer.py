@@ -33,7 +33,7 @@ from .graphs import (
     load_edge_list,
 )
 from .netsim import ENGINES, Network, check_pairing, expected_rounds, run_minibatch, strategy_of
-from .optim import CENTRAL_KINDS, DIST_KINDS, CentralOptimizer, OptimizerConfig
+from .optim import CENTRAL_KINDS, DIST_KINDS, MomentState, OptimizerConfig, central_update
 
 # The allowed values of each `RunConfig` field that names one of a fixed set.
 CHOICES = {"graph": ("ba", "er", "file"), "shift": SHIFT_VARIANTS,
@@ -302,7 +302,8 @@ def train_centralized(config: RunConfig, on_update=None, setup=None) -> TrainRes
     config.validate()
     setup = _setup(config) if setup is None else setup
     graph, shift, _, _, _, _, specs, params0, _ = setup
-    opt = CentralOptimizer(config.optimizer_config(), params0.dim)
+    cfg = config.optimizer_config()
+    moments = MomentState.zeros(params0.dim) if cfg.kind == "central-adam" else None
     theta = params0.flatten()
     work: dict = {}  # the stacked kernel's buffers, reused by every update
 
@@ -313,7 +314,7 @@ def train_centralized(config: RunConfig, on_update=None, setup=None) -> TrainRes
         X, Y = stack_samples(batch)
         th0, th1 = stack_flat_params(specs, np.broadcast_to(theta, (graph.n, theta.size)))
         res = stacked_gradients(specs, th0, th1, shift, X, Y, work)
-        theta = opt.step(theta, res.grads.sum(axis=0) / graph.n, alpha_t)
+        theta = central_update(theta, res.grads.sum(axis=0) / graph.n, cfg, moments, alpha_t)
         return float(np.mean((res.yhat - Y) ** 2)), theta
 
     per_batch = expected_rounds("fwd-only", config.layers, config.batch, config.K)

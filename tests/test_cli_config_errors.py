@@ -99,3 +99,15 @@ def test_trace_config_errors_draw_no_setup(tmp_path, monkeypatch, argv):
     monkeypatch.setattr("fdgnn.cli._setup", drawn)
     assert main([*argv, "--n", "8", "--n-train", "8", "--n-test", "4", "--batch", "4",
                  "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("argv", [["train"], ["compare"], ["costs", "--L", "2", "--B", "3"]],
+                         ids=["train", "compare", "costs"])
+def test_out_naming_a_file_is_config_error(tmp_path, capsys, argv):
+    path = tmp_path / "out"
+    path.write_text("kept")
+    run = [] if argv[0] == "costs" else ["--n", "8", "--n-train", "8", "--n-test", "4", "--batch", "4",
+                                         "--epochs", "1"]
+    assert main([*argv, *run, "--out", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert path.read_text() == "kept"

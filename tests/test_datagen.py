@@ -4,12 +4,10 @@ import pytest
 from fdgnn.datagen import (
     DEFAULT_FEATURE_PLAN,
     DatasetSpec,
-    Sample,
     default_teacher_specs,
     load_dataset,
     make_dataset,
     save_dataset,
-    train_test_split,
 )
 from fdgnn.gcnn import forward
 from fdgnn.graphs import build_shift, generate_ba
@@ -87,25 +85,6 @@ def test_spec_validation():
         DatasetSpec(n_samples=1, feature_plan=(("uniform", 3),))  # width mismatch
     with pytest.raises(ValueError):
         DatasetSpec(n_samples=1, feature_plan=(("spline", 10),))
-
-
-def test_split_sizes_and_union():
-    samples = [Sample(np.full((2, 1), i), np.full(2, i)) for i in range(1000)]
-    train, test = train_test_split(samples, 0.8, seed=0)
-    assert len(train) == 800 and len(test) == 200
-    ids = sorted(int(s.y[0]) for s in train + test)
-    assert ids == list(range(1000))
-
-
-def test_split_deterministic_and_validated():
-    samples = [Sample(np.zeros((2, 1)), np.full(2, i)) for i in range(10)]
-    a1, b1 = train_test_split(samples, 0.5, seed=3)
-    a2, b2 = train_test_split(samples, 0.5, seed=3)
-    assert [s.y[0] for s in a1] == [s.y[0] for s in a2]
-    with pytest.raises(ValueError):
-        train_test_split(samples, 0.0, seed=0)
-    with pytest.raises(ValueError):
-        train_test_split(samples, 1.0, seed=0)
 
 
 def test_bundle_round_trip(tmp_path, graph):

@@ -81,6 +81,24 @@ def test_the_split_runs_three_blocks(split, monkeypatch):
     assert sorted(seen) == [33] * 3 + [34] * 6  # two forward aggregations and one adjoint, per block
 
 
+def test_more_cores_than_nodes_cut_one_block_per_node_row(split, monkeypatch):
+    """n + 1 usable cores give n one-row blocks and the serial bytes."""
+    specs = _specs(2, "tanh")
+    rng = np.random.default_rng(5)
+    th0, th1 = stack_flat_params(specs, rng.normal(size=(N, sum(2 * s.g_in * s.g_out for s in specs))))
+    S, X, y = _shift(2, False), rng.normal(size=(3, N, 3)), rng.normal(size=(3, N))
+    split(False)
+    serial = stacked_gradients(specs, th0, th1, S, X, y)
+    split(True)
+    monkeypatch.setattr(agents, "usable_cores", lambda: N + 1)
+    seen = []
+    real = agents._aggregate
+    monkeypatch.setattr(agents, "_aggregate", lambda S, x, out: seen.append(len(out)) or real(S, x, out))
+    got = stacked_gradients(specs, th0, th1, S, X, y)
+    assert _same(got.yhat, serial.yhat) and _same(got.grads, serial.grads)
+    assert seen == [1] * (3 * N)
+
+
 CONFIGS = [dict(optimizer="d-sgd"), dict(optimizer="d-amsgrad", topology_mode="redraw-per-batch")]
 
 
@@ -137,6 +155,25 @@ def test_run_parallel_returns_results_in_order_and_raises_a_task_error():
 
     with pytest.raises(KeyError):
         run_parallel([lambda: 1, boom, lambda: 2], 3)
+
+
+def test_run_parallel_raises_an_error_from_a_helper(monkeypatch):
+    """Only a task off the calling thread raises: the calling thread's task waits until a helper has
+    claimed the other one, so the error can only come back through the helper's job."""
+    monkeypatch.setattr(agents, "usable_cores", lambda: 2)
+    if agents._pool()[1] == 0:
+        pytest.skip("the helper pool has no thread on a one-core host")
+    caller, helped = threading.current_thread(), threading.Event()
+
+    def task():
+        if threading.current_thread() is caller:
+            assert helped.wait(timeout=30), "no helper claimed a task"
+            return
+        helped.set()
+        raise KeyError("helper")
+
+    with pytest.raises(KeyError, match="helper"):
+        run_parallel([task, task], 2)
 
 
 def test_nested_run_parallel_runs_every_task_once_under_contention():

@@ -15,7 +15,6 @@ from fdgnn.netsim import (
     chunk_sizes,
     cost_table,
     expected_rounds,
-    ledger_report,
     run_minibatch,
     write_ledger_csv,
     write_trace_csv,

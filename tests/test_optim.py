@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from fdgnn.graphs import metropolis_weights
 from fdgnn.optim import (
-    CentralOptimizer,
     DistOptimizer,
     MomentState,
     OptimizerConfig,
@@ -239,10 +238,10 @@ def test_central_sgd_steps():
 def test_central_adam_matches_reference_recurrence():
     rng = np.random.default_rng(10)
     grads = [rng.normal(size=3) for _ in range(5)]
-    opt = CentralOptimizer(OptimizerConfig("central-adam", alpha=0.02), 3)
+    cfg, moments = OptimizerConfig("central-adam", alpha=0.02), MomentState.zeros(3)
     theta = np.zeros(3)
     for g in grads:
-        theta = opt.step(theta, g, 0.02)
+        theta = central_update(theta, g, cfg, moments, 0.02)
     assert np.allclose(theta, _reference_adam(grads, 0.02), atol=1e-14)
 
 
@@ -275,5 +274,3 @@ def test_dist_optimizer_wiring():
     assert opt.moments.vhat is not None
     with pytest.raises(ValueError):
         DistOptimizer(OptimizerConfig("central-sgd"), 4, 6)
-    with pytest.raises(ValueError):
-        CentralOptimizer(OptimizerConfig("d-sgd"), 6)

@@ -21,7 +21,7 @@ from fdgnn.netsim import (
     expected_rounds,
     run_minibatch,
 )
-from fdgnn.optim import CentralOptimizer, OptimizerConfig
+from fdgnn.optim import MomentState, OptimizerConfig, central_update
 from fdgnn.trainer import RunConfig, _redraw, _setup, evaluate_mse, train_centralized
 
 SPECS = (LayerSpec(2, 3, "leaky-relu"), LayerSpec(3, 1, "identity"))
@@ -144,7 +144,8 @@ def test_agents_built_on_first_agents_run_and_dropped_by_set_topology(monkeypatc
 def _reference_centralized(config):
     """The centralized baseline on per-sample dense backpropagation."""
     graph, shift, dspec, teacher, train, test, specs, params0, redraw_seed = _setup(config)
-    opt = CentralOptimizer(config.optimizer_config(), params0.dim)
+    cfg = config.optimizer_config()
+    moments = MomentState.zeros(params0.dim) if cfg.kind == "central-adam" else None
     redraw_rng = np.random.default_rng(redraw_seed)
     theta = params0.flatten()
     batches = config.n_train // config.batch
@@ -161,7 +162,7 @@ def _reference_centralized(config):
             params = ParamSet.from_flat(specs, theta)
             grad = sum(central_gradient(params, step_shift, s.X, s.y) for s in batch)
             train_mse = np.mean([mse_loss(s.y, forward(params, step_shift, s.X)[0]) for s in batch])
-            theta = opt.step(theta, grad, config.alpha * config.decay ** len(out))
+            theta = central_update(theta, grad, cfg, moments, config.alpha * config.decay ** len(out))
             if (len(out) + 1) % config.eval_every == 0 or len(out) + 1 == total:
                 test_mse = evaluate_mse(ParamSet.from_flat(specs, theta), shift, test)
             out.append((train_mse, test_mse, theta))
